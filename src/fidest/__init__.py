@@ -19,8 +19,8 @@ from .errors import (CapExceededError, ConfigError, DimensionError,
 from .f2 import (CoeffVector, F2Matrix, PauliPoint, apply_pauli,
                  diagonalizing_frame, f2_rank, fwht, pauli_coefficients,
                  pauli_expectation, symplectic_product)
-from .states import (DenseState, PhaseFunction, RealMPS, StateVector,
-                     TrajectoryMixture, depolarize, dicke_state,
+from .states import (DenseState, Depolarized, PhaseFunction, RealMPS,
+                     StateVector, TrajectoryMixture, depolarize, dicke_state,
                      exact_fidelity, haar_random, hypergraph_state,
                      measure_computational, mps_to_statevector, phase_state,
                      phase_strip, random_real_mps)
@@ -32,7 +32,7 @@ __all__ = [
     "CoeffVector", "F2Matrix", "PauliPoint", "apply_pauli",
     "diagonalizing_frame", "f2_rank", "fwht", "pauli_coefficients",
     "pauli_expectation", "symplectic_product",
-    "DenseState", "PhaseFunction", "RealMPS", "StateVector",
+    "DenseState", "Depolarized", "PhaseFunction", "RealMPS", "StateVector",
     "TrajectoryMixture", "depolarize", "dicke_state", "exact_fidelity",
     "haar_random", "hypergraph_state", "measure_computational",
     "mps_to_statevector", "phase_state", "phase_strip", "random_real_mps",

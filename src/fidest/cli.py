@@ -85,8 +85,7 @@ def cmd_fig2a(args) -> ResultTable:
                   "depolarizing_p": repr(p)})
     for scheme in ("dfe", "fofe"):
         rep = estimation.run_estimator(
-            scheme, target, rho, alpha=0.5, shots=args.shots, seed=args.seed,
-            workers=args.workers)
+            scheme, target, rho, alpha=0.5, shots=args.shots, seed=args.seed)
         table.add(scheme, rep.shots, repr(rep.mean), repr(rep.variance),
                   repr(rep.stderr), repr(rep.exact_fidelity),
                   repr(rep.analytic_bound), repr(float(rep.values.min())),
@@ -158,11 +157,9 @@ def cmd_nldfe_compare(args) -> ResultTable:
         noisy = states.depolarize(target, 0.1)
         rep_n = estimation.run_estimator("nldfe", target, noisy,
                                          shots=args.shots, seed=args.seed,
-                                         workers=args.workers,
                                          ordering=args.ordering)
         rep_d = estimation.run_estimator("dfe", target, noisy, alpha=0.5,
-                                         shots=args.shots, seed=args.seed,
-                                         workers=args.workers)
+                                         shots=args.shots, seed=args.seed)
         table.add(n, repr(float(np.mean(l1s))), repr(float(np.mean(ws))),
                   repr(float(np.mean(l1s) / np.mean(ws))),
                   repr(rep_n.variance), repr(rep_d.variance))
@@ -189,8 +186,7 @@ def cmd_hypergraph_bounds(args) -> ResultTable:
         if n <= 7 and args.shots > 0:
             target, _ = states.hypergraph_state(n, triples)
             rep = estimation.run_estimator("dfe", target, target, alpha=0.5,
-                                           shots=args.shots, seed=args.seed,
-                                           workers=args.workers)
+                                           shots=args.shots, seed=args.seed)
             second = repr(float(np.mean(rep.values**2)))
         table.add(n, repr(float(2.0 ** ranks.mean())),
                   repr(float(np.mean(2.0**ranks))), repr(closed.lower),
@@ -231,7 +227,7 @@ def cmd_run(args) -> ResultTable:
     rho = states.depolarize(target, p) if p > 0 else target
     rep = estimation.run_estimator(
         args.scheme, target, rho, alpha=args.alpha, shots=args.shots,
-        seed=args.seed, workers=args.workers, mom_batches=args.mom_batches)
+        seed=args.seed, mom_batches=args.mom_batches)
     table = ResultTable(
         columns=["scheme", "n", "shots", "mean", "mom_estimate", "variance",
                  "stderr", "exact_fidelity", "analytic_bound"],
@@ -343,7 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted for compatibility; results do not "
+                            "depend on it")
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--deterministic", action="store_true", default=None)
@@ -475,9 +473,9 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _validate(args) -> None:
-    for key in ("shots", "samples", "workers"):
+    for key in ("shots", "samples", "workers", "nmin"):
         val = getattr(args, key, None)
-        if val is not None and val < (1 if key != "shots" else 1):
+        if val is not None and val < 1:
             raise ConfigError(f"--{key} must be >= 1, got {val}")
     n = getattr(args, "n", None)
     if n is not None and n < 1:

@@ -2,6 +2,26 @@
 estimation), fan-out-based FE on phase-stripped targets (Hadamard-test
 circuit with classical phase post-processing), and nonlinear DFE over
 qubit-wise-commuting measurement groups, plus aggregation helpers.
+
+All three run on one batched shot engine:
+
+1. draw every shot's label at once (a Pauli point for DFE and FOFE, a QWC
+   group for NLDFE);
+2. draw every shot's outcome exactly from its label's outcome law, with a
+   mixed state's trajectory component marginalised out, at a cost per
+   shot that does not grow with the number of distinct labels drawn:
+   - DFE: +-1 with probabilities (1 +- <T_a>)/2, <T_a> read off the
+     target's coefficient table when rho is the target under
+     depolarizing noise, else one Walsh-Hadamard transform per distinct
+     a_x;
+   - FOFE: b' from its marginal law, then b1 given b' (``_fofe_outcomes``);
+   - NLDFE: the frame outcome one block of qubits at a time
+     (``_frame_outcomes``);
+3. post-process all shot values in one pass.
+
+The exact per-label laws (``_fofe_laws``, ``born_laws``, <T_a>) give each
+scheme's single-shot value law (``*_value_law``), the oracle the tests
+check the estimators and the outcome draws against.
 """
 
 from __future__ import annotations
@@ -12,24 +32,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceededError, ConfigError, DimensionError
-from .f2 import (COEFF_TOL, CoeffVector, PauliPoint, _apply_pauli_amps,
-                 diagonalizing_frame, fwht, pauli_coefficients,
-                 pauli_expectation, qubit_mask)
-from .samplers import ExactSampler, UniformXSampler
-from .states import (DenseState, PhaseFunction, StateVector,
-                     TrajectoryMixture, born_probabilities, exact_fidelity,
-                     phase_strip, rotate_to_frame, sample_component)
+from .errors import (CapExceededError, ConfigError, DimensionError,
+                     NumericalHealthError)
+from .f2 import (_POWERS_OF_I, COEFF_TOL, CoeffVector, PauliPoint,
+                 _apply_pauli_amps, diagonalizing_frame, fwht,
+                 pauli_coefficients, popcount_array)
+from .samplers import CdfTable, ExactSampler, UniformXSampler
+from .states import (_FRAME_LABELS, PhaseFunction, StateVector, _kron_gates,
+                     _rotate_leading, exact_fidelity, phase_strip)
 
 QWC_QUBIT_CAP = 9
 
-
-@dataclass(frozen=True)
-class ShotRecord:
-    value: float
-    point: object  # PauliPoint for DFE/FOFE, group index for NLDFE
-    branch: str  # "povm" | "real" | "real+imag" | "group"
-    outcome: tuple
+#: target size of each (distinct labels) x 2^n block the engine holds
+CHUNK_BYTES = 1 << 20
+#: shots drawn and processed at a time, so that the per-shot arrays stay
+#: in cache and every block costs the same
+BLOCK_SHOTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,67 +79,190 @@ def _make_report(scheme, values, mom_batches, exact, bound) -> EstimateReport:
 
 
 # ---------------------------------------------------------------------------
+# The shot engine
+
+
+def _in_blocks(shots: int, block) -> np.ndarray:
+    """block(count) over consecutive blocks of at most BLOCK_SHOTS shots,
+    joined along the last axis."""
+    return np.concatenate([block(min(BLOCK_SHOTS, shots - start))
+                           for start in range(0, shots, BLOCK_SHOTS)], axis=-1)
+
+
+def _row_chunks(count: int, row_bytes: int):
+    step = max(1, CHUNK_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+@dataclass(frozen=True)
+class _Groups:
+    """Items (shots, or labels) grouped by key: the items with key uniq[k]
+    are order[starts[k]:starts[k + 1]], and inv[j] is item j's k."""
+
+    uniq: np.ndarray
+    inv: np.ndarray
+    order: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def of(cls, keys: np.ndarray) -> "_Groups":
+        # keys below 2^16 sort as uint16, by radix sort in linear time
+        small = keys.size > 0 and 0 <= keys.min() and keys.max() < 1 << 16
+        order = np.argsort(keys.astype(np.uint16) if small else keys, kind="stable")
+        ordered = keys[order]
+        new = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        starts = np.concatenate(([0], new, [keys.size]))
+        inv = np.empty(keys.size, dtype=np.int64)
+        inv[order] = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+        return cls(ordered[starts[:-1]], inv, order, starts)
+
+    def first(self) -> np.ndarray:
+        """The first item of each key."""
+        return self.order[self.starts[:-1]]
+
+
+def _inverse_cdf(laws: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Outcome of each shot j: the inverse CDF of laws[rows[j]] at u[j]."""
+    cum = np.cumsum(np.clip(laws, 0.0, None), axis=1)
+    cum /= cum[:, -1:]
+    # Row k is shifted to (k, k + 1], so one search serves every row.
+    cum += np.arange(cum.shape[0])[:, None]
+    width = cum.shape[1]
+    pos = CdfTable(cum.ravel()).search(rows + u) - rows * width
+    return np.minimum(pos, width - 1)
+
+
+def _parity_signs(words: np.ndarray) -> np.ndarray:
+    return 1.0 - 2.0 * (popcount_array(words.astype(np.uint64)) & 1)
+
+
+def _pauli_phase(ax: np.ndarray, az: np.ndarray) -> np.ndarray:
+    return _POWERS_OF_I[popcount_array((ax & az).astype(np.uint64)) & 3]
+
+
+def _weights(sampler, labels: np.ndarray) -> np.ndarray:
+    """Importance weight norm_sum |c|^(1 - 2 alpha) sign(c) of each label."""
+    c = sampler.coefficients(labels)
+    if np.any(np.abs(c) <= COEFF_TOL / 10):
+        bad = int(labels[np.argmin(np.abs(c))])
+        raise AssertionError(
+            f"sampled zero-coefficient point {PauliPoint.from_index(sampler.n, bad)}")
+    return sampler.norm_sum * np.abs(c) ** (1.0 - 2.0 * sampler.alpha) * np.sign(c)
+
+
+def _split(labels: np.ndarray, n: int):
+    return labels >> n, labels & ((1 << n) - 1)
+
+
+def _born_law_rows(rho, frames, n: int) -> np.ndarray:
+    return np.vstack([rho.born_laws(frames[sl])
+                      for sl in _row_chunks(len(frames), 16 << n)])
+
+
+# ---------------------------------------------------------------------------
 # alpha-DFE
 
 
-def _dfe_weight(sampler, a: PauliPoint) -> float:
-    c = sampler.coefficient(a)
-    if abs(c) <= COEFF_TOL / 10:
-        raise AssertionError(f"sampled zero-coefficient point {a}")
-    return sampler.norm_sum * abs(c) ** (1.0 - 2.0 * sampler.alpha) * math.copysign(1.0, c)
+def _pauli_expectations(rho, n: int):
+    """<T_a>_rho as a function of flat labels: i^|ax & az| times the
+    Walsh-Hadamard transform of rho's ax-th XOR diagonal at az.  Each
+    distinct ax is transformed once, when first drawn, and its row of the
+    2^n x 2^n table kept for later calls."""
+    dim = 1 << n
+    table = np.empty((dim, dim))
+    done = np.zeros(dim, dtype=bool)
+
+    def expectations(labels: np.ndarray) -> np.ndarray:
+        ax, az = _split(labels, n)
+        new = np.flatnonzero(np.bincount(ax[~done[ax]], minlength=dim))
+        for sl in _row_chunks(new.size, 16 << n):
+            words = new[sl]
+            vals = (fwht(rho.xor_diagonals(words))
+                    * _pauli_phase(words[:, None], np.arange(dim)))
+            worst = float(np.max(np.abs(vals.imag)))
+            if worst > 1e-9:
+                raise NumericalHealthError(f"expectation has imaginary part {worst}")
+            table[words] = vals.real
+        done[new] = True
+        return table[ax, az]
+    return expectations
 
 
-def dfe_shot(rho, sampler, rng: np.random.Generator,
-             povm: str = "trajectory") -> ShotRecord:
-    """One alpha-DFE shot: draw a from the l_2a law, measure the
-    two-outcome POVM of T_a on rho, return the importance-weighted sign.
+def _frame_expectations(rho, labels: np.ndarray, n: int) -> np.ndarray:
+    """<T_a>_rho as the mean parity a'.b of the computational outcome b
+    after rotating into the diagonalizing frame of T_a."""
+    frames, aprimes = zip(*(diagonalizing_frame(PauliPoint.from_index(n, int(i)))
+                            for i in labels))
+    laws = _born_law_rows(rho, list(frames), n)
+    signs = _parity_signs(np.arange(1 << n) & np.array(aprimes)[:, None])
+    return np.sum(laws * signs, axis=1)
 
-    povm="trajectory": Bernoulli((1 + <T_a>)/2) on a sampled pure
-    component.  povm="frame": rotate the component into the
-    diagonalizing frame of T_a and take the parity a'.b of the
-    computational outcome.  Both realize identical statistics.
-    """
-    a = sampler.draw(rng)
-    w = _dfe_weight(sampler, a)
-    comp = sample_component(rho, rng)
+
+def _expectations(rho, n: int, povm: str):
+    """<T_a>_rho as a function of flat labels (labels may repeat)."""
     if povm == "trajectory":
-        t = pauli_expectation(comp, a)
-        p = int(rng.random() >= (1.0 + t) / 2.0)
-        outcome = (p,)
-    elif povm == "frame":
-        labels, aprime = diagonalizing_frame(a)
-        probs = born_probabilities(
-            StateVector(comp.n, rotate_to_frame(comp.amplitudes, labels)),
-            ("Z",) * comp.n)
-        b = int(rng.choice(probs.shape[0], p=probs))
-        p = bin(aprime & b).count("1") & 1
-        outcome = (p, b)
-    else:
-        raise ConfigError(f"unknown POVM path {povm!r}")
-    return ShotRecord(value=(-1.0) ** p * w, point=a, branch="povm",
-                      outcome=outcome)
+        return _pauli_expectations(rho, n)
+    if povm == "frame":
+        def expectations(labels: np.ndarray) -> np.ndarray:
+            by_label = _Groups.of(labels)
+            return _frame_expectations(rho, by_label.uniq, n)[by_label.inv]
+        return expectations
+    raise ConfigError(f"unknown POVM path {povm!r}")
+
+
+def _table_expectations(rho, target: StateVector, coeffs: CoeffVector):
+    """<T_a>_rho as a function of flat labels, read off the target's own
+    coefficient table when rho is the target under depolarizing noise p
+    (p = 0: the target itself): <T_a>_rho = (1-p) 2^n c(a) + p [a = 0].
+    None for any other rho."""
+    p = rho.depolarized_from(target)
+    if p is None:
+        return None
+    scale = (1.0 - p) * (1 << target.n)
+    return lambda labels: scale * coeffs.values[labels] + p * (labels == 0)
+
+
+def _dfe_values(sampler, shots: int, rng: np.random.Generator,
+                expectations) -> np.ndarray:
+    """Each shot draws a from the l_2a law and measures the two-outcome
+    POVM {(I + T_a)/2, (I - T_a)/2}: +w(a) with probability
+    (1 + <T_a>)/2, else -w(a); expectations(labels) gives <T_a>."""
+    def block(count: int) -> np.ndarray:
+        labels = sampler.draw_indices(rng, count)
+        u = rng.random(count)
+        w = _weights(sampler, labels)
+        return np.where(u >= (1.0 + expectations(labels)) / 2.0, -w, w)
+    return _in_blocks(shots, block)
+
+
+def dfe_value_law(rho, sampler, povm: str = "trajectory"):
+    """Exact single-shot value law (values, probabilities) of alpha-DFE,
+    over the sampler's support times the two POVM outcomes."""
+    dist = sampler.distribution()
+    labels = np.flatnonzero(dist)
+    w = _weights(sampler, labels)
+    t = _expectations(rho, sampler.n, povm)(labels)
+    plus = dist[labels] * (1.0 + t) / 2.0
+    return np.concatenate([w, -w]), np.concatenate([plus, dist[labels] - plus])
 
 
 def dfe_expected_value(rho, sampler) -> float:
     """Analytic shot expectation sum_a P(a) w(a) <T_a>_rho (test oracle)."""
-    dist = sampler.distribution()
-    n = sampler.n
-    total = 0.0
-    for idx in np.nonzero(dist > 0)[0]:
-        a = PauliPoint.from_index(n, int(idx))
-        total += dist[idx] * _dfe_weight(sampler, a) * pauli_expectation(rho, a)
-    return total
+    values, probs = dfe_value_law(rho, sampler)
+    return float(values @ probs)
 
 
 # ---------------------------------------------------------------------------
 # FOFE
 
 
-def phase_difference_table(phase: PhaseFunction, ax: int) -> np.ndarray:
-    """phi^(a)(x) = phi(x ^ a_x) - phi(x) mod 2pi, as a dense table."""
+def phase_difference_table(phase: PhaseFunction, ax, x=None) -> np.ndarray:
+    """phi^(a)(x) = phi(x ^ a_x) - phi(x) mod 2pi: over every x as a dense
+    table, or at the given x (ax and x broadcast)."""
     t = phase.table()
-    idx = np.arange(t.shape[0]) ^ ax
-    return np.mod(t[idx] - t, 2.0 * np.pi)
+    if x is None:
+        x = np.arange(t.shape[0])
+    return np.mod(t[x ^ ax] - t[x], 2.0 * np.pi)
 
 
 def fofe_branch_amplitudes(psi: StateVector, a: PauliPoint,
@@ -130,7 +271,8 @@ def fofe_branch_amplitudes(psi: StateVector, a: PauliPoint,
     circuit: ancilla |+> (most significant qubit), T_a applied on the
     ancilla-0 block, H on the ancilla; the imaginary branch further
     rotates the ancilla so a computational measurement realizes the Y
-    eigenbasis (+1 eigenvector <-> bit 0)."""
+    eigenbasis (+1 eigenvector <-> bit 0).  The circuit-level reference
+    for the closed-form laws of :func:`fofe_outcome_distribution`."""
     amps = psi.amplitudes
     b0 = _apply_pauli_amps(psi.n, a.ax, a.az, amps) / math.sqrt(2.0)
     b1 = amps / math.sqrt(2.0)
@@ -145,88 +287,125 @@ def fofe_branch_amplitudes(psi: StateVector, a: PauliPoint,
     raise ConfigError(f"unknown branch {branch!r}")
 
 
+def _fofe_cross(rho, ax, az, b, branch: str) -> np.ndarray:
+    """2 Re z(b') (real branch) or 2 Im z(b') (imaginary branch), with
+    z(b') = <b'|T_a rho|b'> = i^|ax & az| (-1)^(az.(b' ^ ax))
+    conj(rho[b', b' ^ ax]); the arguments broadcast."""
+    z = (_pauli_phase(ax, az) * _parity_signs(az & (b ^ ax))
+         * np.conj(rho.entries(b, b ^ ax)))
+    if branch == "real":
+        return 2.0 * z.real
+    if branch == "imag":
+        return 2.0 * z.imag
+    raise ConfigError(f"unknown branch {branch!r}")
+
+
+def _fofe_laws(rho, labels: np.ndarray, n: int, branch: str,
+               diag: np.ndarray) -> np.ndarray:
+    """Exact law over outcomes (b1 << n) | b' of one Hadamard-test branch,
+    one row per label:
+        P(b1, b') = (d(b') + d(b' ^ ax) +- cross(b')) / 4
+    with d the computational Born law, cross from ``_fofe_cross``, and the
+    sign + for b1 = 0."""
+    ax, az = (v[:, None] for v in _split(labels, n))
+    b = np.arange(1 << n)
+    cross = _fofe_cross(rho, ax, az, b, branch)
+    both = diag[b] + diag[b ^ ax]
+    return np.concatenate([both + cross, both - cross], axis=1) / 4.0
+
+
+def _fofe_outcomes(rho, labels: np.ndarray, n: int, branch: str,
+                   diag: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One outcome (b1 << n) | b' per shot, drawn exactly from the law of
+    ``_fofe_laws`` without forming it, at O(1) cost per shot: b' from its
+    marginal (d(b') + d(b' ^ ax)) / 2, as a computational outcome y ~ d
+    flipped by ax with probability 1/2, then b1 from
+    P(b1 = 0 | b') = 1/2 + cross(b') / (2 (d(b') + d(b' ^ ax))).
+    u holds three uniforms per shot, shape (3, shots)."""
+    ax, az = _split(labels, n)
+    d = np.clip(diag, 0.0, None)
+    cum = np.cumsum(d)
+    y = CdfTable(cum).search(u[0] * cum[-1])
+    b = np.where(u[1] < 0.5, y, y ^ ax)
+    both = d[b] + d[b ^ ax]  # >= d(y) > 0
+    p0 = 0.5 + _fofe_cross(rho, ax, az, b, branch) / (2.0 * both)
+    return ((u[2] >= p0).astype(np.int64) << n) | b
+
+
+def _computational_law(rho) -> np.ndarray:
+    return rho.xor_diagonals(np.zeros(1, dtype=np.int64))[0].real
+
+
 def fofe_outcome_distribution(state, a: PauliPoint, branch: str) -> np.ndarray:
     """Exact outcome distribution over (b1, b') of one FOFE branch."""
-    if isinstance(state, TrajectoryMixture):
-        return sum(w * fofe_outcome_distribution(psi, a, branch)
-                   for w, psi in state.components)
-    if isinstance(state, DenseState):
-        n = state.n
-        dim = 1 << n
-        ta = np.zeros((dim, dim), dtype=complex)
-        for x in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[x] = 1.0
-            ta[:, x] = _apply_pauli_amps(n, a.ax, a.az, e)
-        eye = np.eye(dim)
-        u = np.block([[ta, eye], [ta, -eye]]) / math.sqrt(2.0)
-        if branch == "imag":
-            v = np.block([[eye, -1j * eye], [eye, 1j * eye]]) / math.sqrt(2.0)
-            u = v @ u
-        full = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        full[:dim, :dim] = full[dim:, dim:] = state.matrix / 2.0
-        full[:dim, dim:] = full[dim:, :dim] = state.matrix / 2.0
-        probs = np.real(np.einsum("ij,jk,ik->i", u, full, np.conj(u)))
-        return np.clip(probs, 0.0, None)
-    amps = fofe_branch_amplitudes(state, a, branch)
-    return np.abs(amps) ** 2
+    laws = _fofe_laws(state, np.array([a.index]), a.n, branch,
+                      _computational_law(state))
+    return np.clip(laws[0], 0.0, None)
 
 
-def _fofe_branch_value(w: float, diff: np.ndarray, branch: str,
-                       outcome: int, n: int) -> float:
-    b1, brest = outcome >> n, outcome & ((1 << n) - 1)
-    if branch == "real":
-        return w * (-1.0) ** b1 * math.cos(diff[brest])
-    return w * (-1.0) ** b1 * math.sin(diff[brest])
+def _branches(phases) -> tuple:
+    """The real branch, plus the imaginary one unless every phase is real."""
+    return ("real",) if all(phi.is_real() for phi in phases) else ("real", "imag")
 
 
-def fofe_shot(rho, sampler, phase: PhaseFunction,
-              rng: np.random.Generator) -> ShotRecord:
-    """One FOFE shot.  Draws a from the phase-stripped l_2a law, runs the
-    real-branch Hadamard test, and — unless every phase lies in {0, pi}
-    — an imaginary-branch test on an independent copy; the shot is the
-    sum of the branch values."""
+def _fofe_post_process(phi: PhaseFunction, ax, w, outcomes: dict, n: int):
+    """Shot values w (-1)^b1 cos phi^(a)(b') [+ w (-1)^b1 sin phi^(a)(b')
+    on the imaginary branch's own outcome] for one phase function."""
+    mask = (1 << n) - 1
+    o = outcomes["real"]
+    values = w * (1 - 2 * (o >> n)) * np.cos(phase_difference_table(phi, ax, o & mask))
+    if not phi.is_real():
+        o = outcomes["imag"]
+        values += w * (1 - 2 * (o >> n)) * np.sin(
+            phase_difference_table(phi, ax, o & mask))
+    return values
+
+
+def _fofe_values(rho, sampler, phases, shots: int, rng: np.random.Generator):
+    """Shot values of every phase function from one shared outcome stream:
+    an array (len(phases), shots), and the circuit executions used."""
     n = sampler.n
-    a = sampler.draw(rng)
-    w = _dfe_weight(sampler, a)
-    diff = phase_difference_table(phase, a.ax)
-    comp = sample_component(rho, rng)
-    probs = fofe_outcome_distribution(comp, a, "real")
-    o_real = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
-    value = _fofe_branch_value(w, diff, "real", o_real, n)
-    if phase.is_real():
-        return ShotRecord(value=value, point=a, branch="real",
-                          outcome=(o_real,))
-    comp2 = sample_component(rho, rng)
-    probs = fofe_outcome_distribution(comp2, a, "imag")
-    o_imag = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
-    value += _fofe_branch_value(w, diff, "imag", o_imag, n)
-    return ShotRecord(value=value, point=a, branch="real+imag",
-                      outcome=(o_real, o_imag))
+    diag = _computational_law(rho)
+    branches = _branches(phases)
+
+    def block(count: int) -> np.ndarray:
+        labels = sampler.draw_indices(rng, count)
+        outcomes = {branch: _fofe_outcomes(rho, labels, n, branch, diag,
+                                           rng.random((3, count)))
+                    for branch in branches}
+        w = _weights(sampler, labels)
+        return np.array([_fofe_post_process(phi, labels >> n, w, outcomes, n)
+                         for phi in phases])
+    return _in_blocks(shots, block), shots * len(branches)
+
+
+def fofe_value_law(rho, sampler, phase: PhaseFunction):
+    """Exact single-shot value law (values, probabilities) of FOFE, over
+    the sampler's support times the outcomes of each branch run."""
+    n = sampler.n
+    dist = sampler.distribution()
+    labels = np.flatnonzero(dist)
+    w = _weights(sampler, labels)[:, None]
+    diag = _computational_law(rho)
+    o = np.arange(2 << n)
+    ax = (labels >> n)[:, None]
+    sign = 1 - 2 * (o >> n)
+    diff = phase_difference_table(phase, ax, o & ((1 << n) - 1))
+    values = w * sign * np.cos(diff)
+    probs = dist[labels][:, None] * _fofe_laws(rho, labels, n, "real", diag)
+    if not phase.is_real():
+        imag_values = w * sign * np.sin(diff)
+        imag_probs = _fofe_laws(rho, labels, n, "imag", diag)
+        values = values[:, :, None] + imag_values[:, None, :]
+        probs = probs[:, :, None] * imag_probs[:, None, :]
+    return values.ravel(), probs.ravel()
 
 
 def fofe_expected_value(rho, sampler, phase: PhaseFunction) -> float:
     """Analytic FOFE shot expectation over exact outcome distributions
     (test oracle; enumerates the sampler's support)."""
-    dist = sampler.distribution()
-    n = sampler.n
-    real_only = phase.is_real()
-    total = 0.0
-    outcomes = np.arange(1 << (n + 1))
-    b1 = outcomes >> n
-    brest = outcomes & ((1 << n) - 1)
-    for idx in np.nonzero(dist > 0)[0]:
-        a = PauliPoint.from_index(n, int(idx))
-        w = _dfe_weight(sampler, a)
-        diff = phase_difference_table(phase, a.ax)
-        p = fofe_outcome_distribution(rho, a, "real")
-        total += dist[idx] * float(
-            np.sum(p * w * (-1.0) ** b1 * np.cos(diff[brest])))
-        if not real_only:
-            p = fofe_outcome_distribution(rho, a, "imag")
-            total += dist[idx] * float(
-                np.sum(p * w * (-1.0) ** b1 * np.sin(diff[brest])))
-    return total
+    values, probs = fofe_value_law(rho, sampler, phase)
+    return float(values @ probs)
 
 
 @dataclass(frozen=True)
@@ -247,28 +426,7 @@ def fofe_multi_target(rho, sampler, phases, shots: int,
     for phi in phases:
         if phi.n != n:
             raise DimensionError("phase function size mismatch")
-    need_imag = any(not phi.is_real() for phi in phases)
-    values = np.zeros((len(phases), shots))
-    executions = 0
-    for j in range(shots):
-        a = sampler.draw(rng)
-        w = _dfe_weight(sampler, a)
-        comp = sample_component(rho, rng)
-        probs = fofe_outcome_distribution(comp, a, "real")
-        o_real = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
-        executions += 1
-        o_imag = None
-        if need_imag:
-            comp2 = sample_component(rho, rng)
-            probs = fofe_outcome_distribution(comp2, a, "imag")
-            o_imag = int(rng.choice(probs.shape[0], p=probs / probs.sum()))
-            executions += 1
-        for m, phi in enumerate(phases):
-            diff = phase_difference_table(phi, a.ax)
-            v = _fofe_branch_value(w, diff, "real", o_real, n)
-            if not phi.is_real():
-                v += _fofe_branch_value(w, diff, "imag", o_imag, n)
-            values[m, j] = v
+    values, executions = _fofe_values(rho, sampler, phases, shots, rng)
     reports = []
     for m, phi in enumerate(phases):
         exact = None
@@ -299,86 +457,163 @@ class QWCPartition:
     groups: tuple
     total_weight: float
     ordering: str
+    codes: np.ndarray = field(repr=False)  # group frames as states.frame_codes
+    chats: np.ndarray = field(repr=False)  # row k is groups[k].chat
 
 
-def _frame_masks(labels, n: int):
-    mx = mz = 0
-    for i, lab in enumerate(labels, start=1):
-        if lab in ("X", "Y"):
-            mx |= qubit_mask(i, n)
-        if lab in ("Z", "Y"):
-            mz |= qubit_mask(i, n)
-    return mx, mz
+def _frame_masks(codes: np.ndarray, n: int):
+    """X and Z masks of each frame's all-qubit Pauli (qubit 1 = MSB)."""
+    place = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    return (codes != 0) @ place, (codes != 1) @ place
 
 
-def frame_pauli_indices(labels, n: int) -> np.ndarray:
-    """Pauli indices of {V Z^s V^dag : s in F2^n} for the frame V."""
-    mx, mz = _frame_masks(labels, n)
-    s = np.arange(1 << n, dtype=np.int64)
-    return ((s & mx) << n) | (s & mz)
+def _first_frame_table(position: np.ndarray, n: int) -> np.ndarray:
+    """For every Pauli pattern (per qubit Z, X, Y or I, as the base-4
+    digits 0, 1, 2, 3, qubit 1 first), the least position among the frames
+    whose group contains it; position[f] is frame f's place in the order."""
+    table = position.reshape((3,) * n)
+    for axis in range(n):
+        table = np.concatenate([table, table.min(axis=axis, keepdims=True)],
+                               axis=axis)
+    return table.reshape(-1)
 
 
 def build_qwc_partition(coeffs: CoeffVector, ordering: str = "canonical",
                         tol: float = 1e-12) -> QWCPartition:
-    """Divide-and-conquer partition of the Pauli coefficients into
-    qubit-wise-commuting groups, one per single-qubit frame choice in
-    {Z, X, Y}^n, claiming each nonzero coefficient exactly once."""
+    """Partition the nonzero Pauli coefficients into qubit-wise-commuting
+    groups, one per single-qubit frame choice in {Z, X, Y}^n: frames are
+    taken in order (canonical: lexicographic, qubit 1 first;
+    greedy-weight: by decreasing |c| of the frame's all-qubit Pauli), and
+    each coefficient belongs to the first frame whose group contains it.
+    A Pauli a sits in frame position s = ax | az of its group."""
     n = coeffs.n
     if n > QWC_QUBIT_CAP:
         raise CapExceededError(
             f"QWC partition needs 3^n 2^n work; capped at n <= {QWC_QUBIT_CAP}")
-    frames = list(itertools.product("ZXY", repeat=n))
-    if ordering == "greedy-weight":
-        full = (1 << n) - 1
-
-        def key(labels):
-            mx, mz = _frame_masks(labels, n)
-            return -abs(coeffs.values[((full & mx) << n) | (full & mz)])
-        frames.sort(key=key)
-    elif ordering != "canonical":
-        raise ConfigError(f"unknown ordering {ordering!r}")
+    codes = np.array(list(itertools.product(range(3), repeat=n)),
+                     dtype=np.int64).reshape(3**n, n)
     values = coeffs.values
-    claimed = np.zeros(values.shape[0], dtype=bool)
-    groups = []
-    for labels in frames:
-        idx = frame_pauli_indices(labels, n)
-        take = (~claimed[idx]) & (np.abs(values[idx]) > tol)
-        if not take.any():
-            continue
-        c_s = np.where(take, values[idx], 0.0)
-        claimed[idx[take]] = True
-        chat = fwht(c_s)
-        weight = float(np.abs(chat).max())
-        groups.append(QWCGroup(frame=tuple(labels), coeffs=c_s, chat=chat,
-                               weight=weight,
-                               claimed=tuple(int(i) for i in idx[take])))
+    if ordering == "greedy-weight":
+        mx, mz = _frame_masks(codes, n)
+        order = np.argsort(-np.abs(values[(mx << n) | mz]), kind="stable")
+    elif ordering == "canonical":
+        order = np.arange(codes.shape[0])
+    else:
+        raise ConfigError(f"unknown ordering {ordering!r}")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    paulis = np.flatnonzero(np.abs(values) > tol)
+    ax, az = paulis >> n, paulis & ((1 << n) - 1)
+    pattern = np.zeros_like(paulis)
+    for shift in range(n - 1, -1, -1):
+        xz = (((ax >> shift) & 1) << 1) | ((az >> shift) & 1)
+        pattern = 4 * pattern + np.array([3, 0, 1, 2])[xz]
+    first = _first_frame_table(position, n)[pattern]
+    taken, gid = np.unique(first, return_inverse=True)
+    gid = gid.reshape(-1)
+    slot = ax | az
+    c_s = np.zeros((taken.size, 1 << n))
+    c_s[gid, slot] = values[paulis]
+    chats = np.empty_like(c_s)
+    for rows in range(0, taken.size, 64):  # small blocks keep temporaries small
+        chats[rows:rows + 64] = fwht(c_s[rows:rows + 64])
+    weights = np.maximum(chats.max(axis=1), -chats.min(axis=1))
+    by_group = np.lexsort((slot, gid))
+    claims = np.split(paulis[by_group], np.cumsum(np.bincount(gid))[:-1])
+    frames = codes[order[taken]]
+    groups = tuple(
+        QWCGroup(frame=tuple(_FRAME_LABELS[c] for c in frame), coeffs=c_s[k],
+                 chat=chats[k], weight=float(weights[k]),
+                 claimed=tuple(claims[k].tolist()))
+        for k, frame in enumerate(frames.tolist()))
     total = float(sum(g.weight for g in groups))
-    return QWCPartition(n=n, groups=tuple(groups), total_weight=total,
-                        ordering=ordering)
+    return QWCPartition(n=n, groups=groups, total_weight=total,
+                        ordering=ordering, codes=frames, chats=chats)
 
 
-def nldfe_shot(rho, part: QWCPartition, rng: np.random.Generator) -> ShotRecord:
-    """One NLDFE shot: draw a group proportionally to its weight, measure
-    rho in the group frame, return W * chat_b / ||chat||_inf."""
+def _frame_outcomes(state, codes: np.ndarray, which: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """One computational outcome per shot j after rotating ``state`` into
+    the frame codes[which[j]] (rows as ``states.frame_codes``), drawn
+    exactly from the Born law without forming it; u holds three uniforms
+    per shot, shape (3, shots).
+
+    A shot picks a member of ``pure_ensemble()``; the I/2^n part gives a
+    uniform outcome.  For a pure member psi, split the qubits into the
+    first n - r and the last r (r = min(3, n)), and rotate psi by the
+    first block's gates only: the rows psi_L of that partial rotation, as
+    a 2^(n-r) x 2^r matrix, are formed once per distinct (member, first
+    block frame).  The last block's rotation V_R is unitary, so the first
+    block's outcome i has law ||row i of psi_L||^2, and given i the last
+    block's outcome j has law |V_R (row i of psi_L)|_j^2 over that: every
+    shot costs one 2^r x 2^r product."""
+    n = codes.shape[1]
+    r = min(3, n)
+    lead = n - r
+    weights, amps, mixed = state.pure_ensemble()
+    member = _inverse_cdf(np.append(weights, mixed)[None, :],
+                          np.zeros(u.shape[1], dtype=np.int64), u[0])
+    out = np.empty(u.shape[1], dtype=np.int64)
+    flat = member == weights.size
+    out[flat] = np.minimum((u[1, flat] * (1 << n)).astype(np.int64),
+                           (1 << n) - 1)
+    pure = np.flatnonzero(~flat)
+    if pure.size == 0:
+        return out
+    frame = which[pure]
+    place = 3 ** np.arange(n, dtype=np.int64)
+    lead_key = codes[:, :lead] @ place[:lead]
+    pairs = _Groups.of(member[pure] * 3**lead + lead_key[frame])
+    first = pairs.first()
+    rows = _rotate_leading(amps[member[pure[first]]], codes[frame[first], :lead])
+    rows = rows.reshape(-1, 1 << lead, 1 << r)
+    i = _inverse_cdf(np.sum(np.abs(rows) ** 2, axis=2), pairs.inv, u[1, pure])
+    last = _Groups.of((codes[:, lead:] @ place[:r])[frame])
+    gates = _kron_gates(codes[frame[last.first()], lead:])
+    pair, row = pairs.inv[last.order], i[last.order]
+    target = u[2, pure[last.order]]
+    counts = np.empty(pure.size, dtype=np.int64)
+    for k in range(last.uniq.size):
+        sl = slice(last.starts[k], last.starts[k + 1])
+        amp = rows[pair[sl], row[sl]] @ gates[k].T
+        cum = np.cumsum(amp.real ** 2 + amp.imag ** 2, axis=1)
+        # inverse CDF: the number of cumulative sums at or below u
+        counts[sl] = (cum <= target[sl, None] * cum[:, -1:]).sum(axis=1)
+    j = np.empty(pure.size, dtype=np.int64)
+    j[last.order] = np.minimum(counts, (1 << r) - 1)
+    out[pure] = (i << r) | j
+    return out
+
+
+def _nldfe_values(rho, part: QWCPartition, shots: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Each shot draws a group proportionally to its weight, measures rho
+    in the group frame, and returns W * chat_b / ||chat||_inf."""
     if not part.groups:
         raise ConfigError("empty partition")
     weights = np.array([g.weight for g in part.groups])
-    k = int(rng.choice(weights.size, p=weights / weights.sum()))
-    g = part.groups[k]
-    comp = sample_component(rho, rng)
-    probs = born_probabilities(comp, g.frame)
-    b = int(rng.choice(probs.shape[0], p=probs))
-    value = part.total_weight * float(g.chat[b]) / g.weight
-    return ShotRecord(value=value, point=k, branch="group", outcome=(b,))
+    by_weight = CdfTable(np.cumsum(weights / weights.sum()))
+
+    def block(count: int) -> np.ndarray:
+        groups = by_weight.search(rng.random(count))
+        outcomes = _frame_outcomes(rho, part.codes, groups, rng.random((3, count)))
+        return part.total_weight * (part.chats[groups, outcomes] / weights[groups])
+    return _in_blocks(shots, block)
+
+
+def nldfe_value_law(rho, part: QWCPartition):
+    """Exact single-shot value law (values, probabilities) of NLDFE, over
+    the groups times their frame outcomes."""
+    weights = np.array([g.weight for g in part.groups])[:, None]
+    laws = _born_law_rows(rho, part.codes, part.n)
+    values = part.total_weight * (part.chats / weights)
+    return values.ravel(), (weights / weights.sum() * laws).ravel()
 
 
 def nldfe_expected_value(rho, part: QWCPartition) -> float:
     """Analytic NLDFE shot expectation sum_S sum_b P_S(b) chat^(S)_b."""
-    total = 0.0
-    for g in part.groups:
-        probs = born_probabilities(rho, g.frame)
-        total += float(np.dot(probs, g.chat))
-    return total
+    values, probs = nldfe_value_law(rho, part)
+    return float(values @ probs)
 
 
 # ---------------------------------------------------------------------------
@@ -403,28 +638,29 @@ def _is_flat_modulus(psi: StateVector) -> bool:
 
 
 def run_estimator(scheme: str, target: StateVector, rho, *, alpha: float = 0.5,
-                  shots: int, seed: int = 0, workers: int = 1,
-                  mom_batches: int = 1, povm: str = "trajectory",
-                  coeff_cap: int = 10, ordering: str = "canonical",
+                  shots: int, seed: int = 0, mom_batches: int = 1,
+                  povm: str = "trajectory", coeff_cap: int = 10,
+                  ordering: str = "canonical",
                   phase: PhaseFunction = None) -> EstimateReport:
     """Run `shots` single-shot estimates of <target|rho|target> with the
-    requested scheme.  Deterministic under fixed (seed, workers): shots
-    are partitioned into worker ranges with independently seeded RNG
-    streams and merged in range order."""
+    requested scheme.  Every draw comes from one stream seeded by
+    ``SeedSequence(seed)``, so the result is fixed by the seed alone."""
     if shots < 1:
         raise ConfigError("shots must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     if alpha not in (0.5, 1.0):
         raise ConfigError(f"alpha must be 1/2 or 1, got {alpha}")
+    if povm not in ("trajectory", "frame"):
+        raise ConfigError(f"unknown POVM path {povm!r}")
     exact = exact_fidelity(rho, target)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     if scheme == "dfe":
         coeffs = pauli_coefficients(target, cap=coeff_cap)
         sampler = ExactSampler(coeffs, alpha)
         bound = float(sampler.norm_sum ** 2) if alpha == 0.5 else None
-
-        def one(rng):
-            return dfe_shot(rho, sampler, rng, povm=povm).value
+        table = (_table_expectations(rho, target, coeffs)
+                 if povm == "trajectory" else None)
+        values = _dfe_values(sampler, shots, rng,
+                             table or _expectations(rho, target.n, povm))
     elif scheme == "fofe":
         stripped, phi = phase_strip(target)
         if phase is not None:
@@ -434,25 +670,14 @@ def run_estimator(scheme: str, target: StateVector, rho, *, alpha: float = 0.5,
         else:
             sampler = ExactSampler(pauli_coefficients(stripped, cap=coeff_cap),
                                    alpha)
-        branches = 1 if phi.is_real() else 2
+        branches = len(_branches([phi]))
         bound = branches * float(sampler.norm_sum ** 2) if alpha == 0.5 else None
-
-        def one(rng):
-            return fofe_shot(rho, sampler, phi, rng).value
+        values = _fofe_values(rho, sampler, [phi], shots, rng)[0][0]
     elif scheme == "nldfe":
         part = build_qwc_partition(pauli_coefficients(target, cap=coeff_cap),
                                    ordering=ordering)
         bound = part.total_weight ** 2
-
-        def one(rng):
-            return nldfe_shot(rho, part, rng).value
+        values = _nldfe_values(rho, part, shots, rng)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
-    values = np.empty(shots)
-    bounds = np.linspace(0, shots, workers + 1).astype(int)
-    streams = np.random.SeedSequence(seed).spawn(workers)
-    for w in range(workers):
-        rng = np.random.default_rng(streams[w])
-        for j in range(bounds[w], bounds[w + 1]):
-            values[j] = one(rng)
     return _make_report(scheme, values, mom_batches, exact, bound)

@@ -48,6 +48,9 @@ def qubit_mask(i: int, n: int) -> int:
     return 1 << (n - i)
 
 
+#: i^k for k = 0..3, so that i^w is an exact table lookup
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
 if hasattr(np, "bitwise_count"):
 
     def popcount_array(arr: np.ndarray) -> np.ndarray:
@@ -150,33 +153,29 @@ def _apply_pauli_amps(n: int, ax: int, az: int, amps: np.ndarray) -> np.ndarray:
 
 
 def pauli_expectation(state, a: PauliPoint) -> float:
-    """<T_a> for a pure state, trajectory mixture, or dense density matrix.
+    """<T_a> = i^|ax & az| sum_x rho[x, x ^ ax] (-1)^(az.x) for any state
+    (its ``xor_diagonals`` give rho[x, x ^ ax]) or a raw amplitude array.
 
     The value is real for any valid state; the imaginary residual is
     checked against a loose tolerance.
     """
-    matrix = getattr(state, "matrix", None)
-    if matrix is not None:
-        dim = 1 << a.n
-        if matrix.shape != (dim, dim):
-            raise DimensionError(f"matrix shape {matrix.shape}, expected {(dim, dim)}")
-        idx = np.arange(dim, dtype=np.uint64)
-        signs = 1.0 - 2.0 * (popcount_array(idx & np.uint64(a.az)) & np.uint64(1)).astype(float)
-        phase = 1j ** ((a.ax & a.az).bit_count() & 3)
-        # tr(rho T_a) = sum_x <x|rho|x^ax> * <x^ax|T_a|x>  with x' = x ^ ax
-        val = phase * np.sum(matrix[idx, idx ^ np.uint64(a.ax)] * signs)
-        return _real_checked(val)
-
-    components = getattr(state, "components", None)
-    if components is not None:
-        return float(sum(w * pauli_expectation(psi, a) for w, psi in components))
-
-    amps = _amplitudes(state)
-    norm = float(np.vdot(amps, amps).real)
-    if abs(norm - 1.0) > 1e-9:
-        raise NumericalHealthError(f"state norm^2 = {norm}, not normalized")
-    val = np.vdot(amps, _apply_pauli_amps(a.n, a.ax, a.az, amps))
-    return _real_checked(val)
+    dim = 1 << a.n
+    if hasattr(state, "xor_diagonals"):
+        if state.n != a.n:
+            raise DimensionError(f"state has {state.n} qubits, point has {a.n}")
+        diag = state.xor_diagonals(np.array([a.ax]))[0]
+    else:
+        amps = np.asarray(state)
+        if amps.shape != (dim,):
+            raise DimensionError(f"state has shape {amps.shape}, expected ({dim},)")
+        norm = float(np.vdot(amps, amps).real)
+        if abs(norm - 1.0) > 1e-9:
+            raise NumericalHealthError(f"state norm^2 = {norm}, not normalized")
+        diag = amps * np.conj(amps[np.arange(dim) ^ a.ax])
+    idx = np.arange(dim, dtype=np.uint64)
+    signs = 1.0 - 2.0 * (popcount_array(idx & np.uint64(a.az)) & np.uint64(1)).astype(float)
+    phase = 1j ** ((a.ax & a.az).bit_count() & 3)
+    return _real_checked(phase * np.sum(diag * signs))
 
 
 def _real_checked(val: complex, tol: float = 1e-9) -> float:
@@ -216,7 +215,8 @@ class CoeffVector:
 
 def pauli_coefficients(psi, cap: int = COEFF_CAP) -> CoeffVector:
     """All 4^n Pauli coefficients of a pure state, via one Walsh-Hadamard
-    transform per X-word (total cost O(n 8^n))."""
+    transform per X-word, batched about 1 MB at a time (total cost
+    O(n 8^n))."""
     amps = _amplitudes(psi)
     dim = amps.shape[0]
     n = dim.bit_length() - 1
@@ -226,19 +226,20 @@ def pauli_coefficients(psi, cap: int = COEFF_CAP) -> CoeffVector:
         raise CapExceededError(
             f"n={n} exceeds coefficient cap {cap} (would cost ~{8**n:.2e} flops)"
         )
-    idx = np.arange(dim, dtype=np.uint64)
-    values = np.empty(4**n)
+    idx = np.arange(dim)
+    values = np.empty((dim, dim))
     worst_imag = 0.0
-    for ax in range(dim):
-        g = np.conj(amps[idx ^ np.uint64(ax)]) * amps
-        h = fwht(g)  # h[az] = sum_x g(x) (-1)^(az.x)
-        w = popcount_array(idx & np.uint64(ax)).astype(np.int64) & 3
-        vals = (1j**w) * h
+    step = max(1, (1 << 16) // dim)
+    for lo in range(0, dim, step):
+        ax = np.arange(lo, min(lo + step, dim))[:, None]
+        h = fwht(np.conj(amps[idx ^ ax]) * amps)  # h[az] = sum_x g(x) (-1)^(az.x)
+        w = popcount_array((idx & ax).astype(np.uint64)).astype(np.int64) & 3
+        vals = _POWERS_OF_I[w] * h
         worst_imag = max(worst_imag, float(np.max(np.abs(vals.imag))))
-        values[(ax << n) : (ax << n) + dim] = vals.real / dim
+        values[lo:lo + ax.shape[0]] = vals.real / dim
     if worst_imag > 1e-8:
         raise NumericalHealthError(f"coefficients not real: residual {worst_imag}")
-    return CoeffVector(n, values)
+    return CoeffVector(n, values.reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -246,23 +247,34 @@ def pauli_coefficients(psi, cap: int = COEFF_CAP) -> CoeffVector:
 
 
 def fwht(v: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """Walsh-Hadamard transform; forward computes
-    ``out[b] = sum_a v[a] (-1)^(a.b)`` with no normalization, inverse
-    divides by the length.  In place over a copy, O(n 2^n)."""
+    """Walsh-Hadamard transform along the last axis; forward computes
+    ``out[..., b] = sum_a v[..., a] (-1)^(a.b)`` with no normalization,
+    inverse divides by the length.  In place over a copy, O(n 2^n) per row."""
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
     a = np.array(v, copy=True)
-    size = a.shape[0]
+    shape = a.shape
+    size = shape[-1] if shape else 0
     if size & (size - 1) or size == 0:
         raise DimensionError(f"length {size} is not a power of two")
     h = 1
     while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :].copy()
-        a[:, 0, :] = top + a[:, 1, :]
-        a[:, 1, :] = top - a[:, 1, :]
-        a = a.reshape(size)
-        h *= 2
+        if 4 * h <= size:
+            # two radix-2 stages fused: half the passes over the data, and
+            # the same sums in the same order
+            x = a.reshape(-1, 4, h)
+            s0, d0 = x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]
+            s1, d1 = x[:, 2] + x[:, 3], x[:, 2] - x[:, 3]
+            x[:, 0], x[:, 1] = s0 + s1, d0 + d1
+            x[:, 2], x[:, 3] = s0 - s1, d0 - d1
+            h *= 4
+        else:
+            x = a.reshape(-1, 2, h)
+            top = x[:, 0].copy()
+            x[:, 0] = top + x[:, 1]
+            x[:, 1] = top - x[:, 1]
+            h *= 2
+    a = a.reshape(shape)
     if direction == "inverse":
         a = a / size
     return a

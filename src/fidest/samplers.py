@@ -9,6 +9,9 @@ Every sampler exposes:
   draw(rng)      -- one PauliPoint with nonzero coefficient
   coefficient(a) -- the signed coefficient c(a) of the target
 and, where enumeration is feasible, distribution() -> dense 4^n vector.
+The two samplers the estimators draw from (exact and uniform-X) also give
+draw_indices(rng, size), flat indices (ax << n) | az drawn at once, and
+coefficients(indices), their c(a).
 """
 
 from __future__ import annotations
@@ -24,6 +27,35 @@ from .f2 import COEFF_TOL, CoeffVector, PauliPoint, fwht, pauli_expectation
 from .states import RealMPS, StateVector
 
 BELL_TOTAL_QUBIT_CAP = 24
+
+
+class CdfTable:
+    """Inverse CDF over an ascending array of nonnegative cumulative sums:
+    search(v) is min(searchsorted(cum, v, side="right"), len(cum) - 1),
+    in O(1) expected steps per value.  A guide table holds, for each of
+    len(cum) equal buckets of [0, cum[-1]), the answer at the bucket's
+    lower end; each value steps from there to its own answer."""
+
+    def __init__(self, cum: np.ndarray):
+        self.cum = cum
+        self.scale = cum.size / cum[-1]
+        self.guide = np.searchsorted(cum, np.arange(cum.size) / self.scale,
+                                     side="right")
+
+    def search(self, v: np.ndarray) -> np.ndarray:
+        cum, last = self.cum, self.cum.size - 1
+        idx = np.minimum(self.guide[np.minimum((v * self.scale).astype(np.int64),
+                                               last)], last)
+        # a bucket edge rounded above v can put idx too far
+        back = np.flatnonzero((idx > 0) & (cum[idx - 1] > v))
+        while back.size:
+            idx[back] -= 1
+            back = back[(idx[back] > 0) & (cum[idx[back] - 1] > v[back])]
+        step = np.flatnonzero((idx < last) & (cum[idx] <= v))
+        while step.size:
+            idx[step] += 1
+            step = step[(idx[step] < last) & (cum[idx[step]] <= v[step])]
+        return idx
 
 
 class ExactSampler:
@@ -42,14 +74,19 @@ class ExactSampler:
         weights = absc[self._support] ** (2.0 * self.alpha)
         self.norm_sum = float(weights.sum())
         self._cum = np.cumsum(weights / self.norm_sum)
+        self._table = CdfTable(self._cum)
+
+    def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return self._support[self._table.search(rng.random(size))]
 
     def draw(self, rng: np.random.Generator) -> PauliPoint:
-        k = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        k = min(k, self._support.size - 1)
-        return PauliPoint.from_index(self.n, int(self._support[k]))
+        return PauliPoint.from_index(self.n, int(self.draw_indices(rng, 1)[0]))
 
     def coefficient(self, a: PauliPoint) -> float:
         return self._coeffs.value(a)
+
+    def coefficients(self, indices: np.ndarray) -> np.ndarray:
+        return self._coeffs.values[indices]
 
     def distribution(self) -> np.ndarray:
         out = np.zeros(1 << (2 * self.n))
@@ -69,14 +106,18 @@ class UniformXSampler:
         self.alpha = float(alpha)
         self.norm_sum = float((1 << n) * (2.0 ** (-n)) ** (2.0 * self.alpha))
 
+    def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.integers(0, 1 << self.n, size=size) << self.n
+
     def draw(self, rng: np.random.Generator) -> PauliPoint:
-        ax = int(rng.integers(0, 1 << self.n))
-        return PauliPoint(self.n, ax, 0)
+        return PauliPoint.from_index(self.n, int(self.draw_indices(rng, 1)[0]))
 
     def coefficient(self, a: PauliPoint) -> float:
-        if a.az != 0:
-            return 0.0
-        return 2.0 ** (-self.n)
+        return float(self.coefficients(np.array([a.index]))[0])
+
+    def coefficients(self, indices: np.ndarray) -> np.ndarray:
+        az = np.asarray(indices) & ((1 << self.n) - 1)
+        return np.where(az == 0, 2.0 ** (-self.n), 0.0)
 
     def distribution(self) -> np.ndarray:
         out = np.zeros(1 << (2 * self.n))

@@ -2,9 +2,25 @@
 states, phase stripping, depolarizing noise, exact fidelity, and
 measurement simulation.
 
-All state types are immutable after construction.  Measurements take an
-explicit ``numpy.random.Generator`` so concurrent shots can use
-independent seeded streams.
+All state types are immutable after construction.  The four of them
+(``StateVector``, ``DenseState``, ``TrajectoryMixture``, ``Depolarized``)
+share one interface, so no other module branches on the type:
+
+  n                  -- qubit count
+  entries(rows, cols) -- the matrix elements rho[rows, cols] (broadcast)
+  xor_diagonals(ax)  -- rows rho[x, x ^ ax_j] over x, one per word ax_j;
+                        every Pauli expectation and Hadamard-test law is
+                        built from them
+  born_laws(frames)  -- computational outcome law after each frame rotation
+                        (frames as Z/X/Y label sequences or frame_codes)
+  fidelity(psi)      -- <psi|rho|psi>
+  to_dense()         -- the density matrix as a DenseState
+  pure_ensemble()    -- (w, amps, u): rho = sum_k w_k |amps_k><amps_k|
+                        + u I/2^n, the form the shot engine samples from
+  depolarized_from(psi) -- p when rho is (1-p)|psi><psi| + p I/2^n by
+                        construction (0 for psi itself), else None
+
+Measurements take an explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
@@ -12,11 +28,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-from . import f2
 from .errors import CapExceededError, DimensionError, NumericalHealthError
 from .f2 import PauliPoint, popcount_array, qubit_mask
 
@@ -31,6 +46,8 @@ _FRAME_GATES = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / _SQRT2,
     "Y": np.array([[1, -1j], [1, 1j]], dtype=complex) / _SQRT2,
 }
+_FRAME_LABELS = "ZXY"  # frame code k is the label _FRAME_LABELS[k]
+_CODE_GATES = np.array([_FRAME_GATES[lab] for lab in _FRAME_LABELS])
 
 
 @dataclass(frozen=True)
@@ -64,6 +81,27 @@ class StateVector:
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
+
+    def entries(self, rows, cols) -> np.ndarray:
+        return self.amplitudes[rows] * np.conj(self.amplitudes[cols])
+
+    def xor_diagonals(self, ax) -> np.ndarray:
+        return self.entries(*_xor_pairs(self.n, ax))
+
+    def born_laws(self, frames) -> np.ndarray:
+        return np.abs(_rotate_rows(self.amplitudes, self.n, frames)) ** 2
+
+    def fidelity(self, psi: "StateVector") -> float:
+        return float(abs(np.vdot(psi.amplitudes, self.amplitudes)) ** 2)
+
+    def to_dense(self) -> "DenseState":
+        return DenseState(self.n, self.projector())
+
+    def pure_ensemble(self):
+        return np.ones(1), self.amplitudes[None, :], 0.0
+
+    def depolarized_from(self, psi: "StateVector"):
+        return 0.0 if np.array_equal(self.amplitudes, psi.amplitudes) else None
 
 
 class PhaseFunction:
@@ -169,6 +207,30 @@ class DenseState:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
+    def entries(self, rows, cols) -> np.ndarray:
+        return self.matrix[rows, cols]
+
+    def xor_diagonals(self, ax) -> np.ndarray:
+        return self.entries(*_xor_pairs(self.n, ax))
+
+    def born_laws(self, frames) -> np.ndarray:
+        u = _kron_gates(frame_codes(frames, self.n))
+        return np.real(np.einsum("fij,jk,fik->fi", u, self.matrix, np.conj(u)))
+
+    def fidelity(self, psi: StateVector) -> float:
+        return float(np.vdot(psi.amplitudes, self.matrix @ psi.amplitudes).real)
+
+    def to_dense(self) -> "DenseState":
+        return self
+
+    def pure_ensemble(self):
+        vals, vecs = np.linalg.eigh(self.matrix)
+        keep = vals > 0.0
+        return vals[keep] / vals[keep].sum(), vecs[:, keep].T, 0.0
+
+    def depolarized_from(self, psi: StateVector):
+        return None
+
 
 @dataclass(frozen=True)
 class TrajectoryMixture:
@@ -190,35 +252,78 @@ class TrajectoryMixture:
             raise NumericalHealthError(f"weights sum to {total}, expected 1")
         object.__setattr__(self, "components", comps)
 
+    def entries(self, rows, cols) -> np.ndarray:
+        return sum(w * psi.entries(rows, cols) for w, psi in self.components)
+
+    def xor_diagonals(self, ax) -> np.ndarray:
+        return self.entries(*_xor_pairs(self.n, ax))
+
+    def born_laws(self, frames) -> np.ndarray:
+        return sum(w * psi.born_laws(frames) for w, psi in self.components)
+
+    def fidelity(self, psi: StateVector) -> float:
+        return float(sum(w * comp.fidelity(psi) for w, comp in self.components))
+
     def to_dense(self) -> DenseState:
         mat = sum(w * psi.projector() for w, psi in self.components)
         return DenseState(self.n, mat)
 
+    def pure_ensemble(self):
+        weights = np.array([w for w, _ in self.components])
+        amps = np.array([psi.amplitudes for _, psi in self.components])
+        return weights, amps, 0.0
 
-DensityState = Union[DenseState, TrajectoryMixture]
-
-
-def as_density(state) -> DensityState:
-    """Wrap a pure state as a single-component trajectory mixture."""
-    if isinstance(state, (DenseState, TrajectoryMixture)):
-        return state
-    return TrajectoryMixture(state.n, ((1.0, state),))
+    def depolarized_from(self, psi: StateVector):
+        return None
 
 
-def sample_component(rho, rng: np.random.Generator) -> StateVector:
-    """Draw one pure trajectory component of a mixed state."""
-    if isinstance(rho, StateVector):
-        return rho
-    if isinstance(rho, TrajectoryMixture):
-        weights = np.array([w for w, _ in rho.components])
-        k = rng.choice(len(weights), p=weights / weights.sum())
-        return rho.components[k][1]
-    if isinstance(rho, DenseState):
-        vals, vecs = np.linalg.eigh(rho.matrix)
-        vals = np.clip(vals.real, 0.0, None)
-        k = rng.choice(len(vals), p=vals / vals.sum())
-        return StateVector.normalized(vecs[:, k])
-    raise TypeError(f"not a state: {type(rho)!r}")
+@dataclass(frozen=True)
+class Depolarized:
+    """(1-p)|psi><psi| + p I/2^n in closed form, in O(2^n) memory: every
+    law below is (1-p) times that of psi plus p times that of I/2^n."""
+
+    psi: StateVector
+    p: float
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"p={self.p} outside [0, 1]")
+        object.__setattr__(self, "p", float(self.p))
+
+    @property
+    def n(self) -> int:
+        return self.psi.n
+
+    def entries(self, rows, cols) -> np.ndarray:
+        # I/2^n has entries [row = col] / 2^n
+        mixed = (np.asarray(rows) == np.asarray(cols)) / (1 << self.n)
+        return (1.0 - self.p) * self.psi.entries(rows, cols) + self.p * mixed
+
+    def xor_diagonals(self, ax) -> np.ndarray:
+        return self.entries(*_xor_pairs(self.n, ax))
+
+    def born_laws(self, frames) -> np.ndarray:
+        return (1.0 - self.p) * self.psi.born_laws(frames) + self.p / (1 << self.n)
+
+    def fidelity(self, psi: StateVector) -> float:
+        return (1.0 - self.p) * self.psi.fidelity(psi) + self.p / (1 << self.n)
+
+    def to_dense(self) -> DenseState:
+        dim = 1 << self.n
+        return DenseState(self.n, (1.0 - self.p) * self.psi.projector()
+                          + self.p * np.eye(dim) / dim)
+
+    def pure_ensemble(self):
+        return np.array([1.0 - self.p]), self.psi.amplitudes[None, :], self.p
+
+    def depolarized_from(self, psi: StateVector):
+        return self.p if self.psi.depolarized_from(psi) == 0.0 else None
+
+
+def _xor_pairs(n: int, ax):
+    """Index arrays x and x ^ ax[j], broadcast to shape (len(ax), 2^n)."""
+    x = np.arange(1 << n)
+    return x, x ^ np.asarray(ax, dtype=np.int64)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +386,9 @@ def phase_strip(psi: StateVector):
     return StateVector(psi.n, moduli.astype(complex)), phi
 
 
-def depolarize(psi: StateVector, p: float) -> TrajectoryMixture:
-    """(1-p)|psi><psi| + p I/2^n as a trajectory mixture: the pure state with
-    weight 1-p plus every computational basis state with weight p/2^n."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
-    n = psi.n
-    comps: list[tuple[float, StateVector]] = []
-    if p < 1.0:
-        comps.append((1.0 - p, psi))
-    if p > 0.0:
-        for x in range(1 << n):
-            e = np.zeros(1 << n, dtype=complex)
-            e[x] = 1.0
-            comps.append((p / (1 << n), StateVector(n, e)))
-    return TrajectoryMixture(n, tuple(comps))
+def depolarize(psi: StateVector, p: float) -> Depolarized:
+    """(1-p)|psi><psi| + p I/2^n, held in closed form."""
+    return Depolarized(psi, p)
 
 
 def depolarizing_p_for_fidelity(n: int, fidelity: float) -> float:
@@ -306,20 +399,9 @@ def depolarizing_p_for_fidelity(n: int, fidelity: float) -> float:
 
 def exact_fidelity(rho, psi: StateVector) -> float:
     """<psi|rho|psi>, the ground truth all estimators target."""
-    if isinstance(rho, StateVector):
-        if rho.n != psi.n:
-            raise DimensionError("qubit count mismatch")
-        return float(abs(np.vdot(psi.amplitudes, rho.amplitudes)) ** 2)
-    if isinstance(rho, TrajectoryMixture):
-        if rho.n != psi.n:
-            raise DimensionError("qubit count mismatch")
-        return float(sum(w * exact_fidelity(comp, psi) for w, comp in rho.components))
-    if isinstance(rho, DenseState):
-        if rho.n != psi.n:
-            raise DimensionError("qubit count mismatch")
-        val = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)
-        return float(val.real)
-    raise TypeError(f"not a state: {type(rho)!r}")
+    if rho.n != psi.n:
+        raise DimensionError("qubit count mismatch")
+    return float(rho.fidelity(psi))
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +475,23 @@ def mps_to_statevector(m: RealMPS, n_cap: int = 12, chi_cap: int = 8) -> StateVe
 # Measurement
 
 
-def _normalize_frame(frame, n: int) -> tuple[str, ...]:
-    labels = tuple(frame)
-    if len(labels) != n:
-        raise DimensionError(f"frame has {len(labels)} labels, expected {n}")
-    if any(lab not in _FRAME_GATES for lab in labels):
-        raise ValueError(f"frame labels must be Z/X/Y, got {labels}")
-    return labels
+def frame_codes(frames, n: int) -> np.ndarray:
+    """Frames as an integer array (len(frames), n) with entries 0, 1, 2
+    for the labels Z, X, Y; an integer array of that form passes as is."""
+    if isinstance(frames, np.ndarray) and frames.dtype.kind in "iu":
+        codes = frames.reshape(len(frames), n)
+        if codes.size and (codes.min() < 0 or codes.max() > 2):
+            raise ValueError("frame codes must be 0, 1 or 2")
+        return codes
+    codes = []
+    for frame in frames:
+        labels = tuple(frame)
+        if len(labels) != n:
+            raise DimensionError(f"frame has {len(labels)} labels, expected {n}")
+        if any(lab not in _FRAME_GATES for lab in labels):
+            raise ValueError(f"frame labels must be Z/X/Y, got {labels}")
+        codes.append([_FRAME_LABELS.index(lab) for lab in labels])
+    return np.array(codes, dtype=np.int64).reshape(len(codes), n)
 
 
 def apply_single_qubit(amps: np.ndarray, n: int, i: int, gate: np.ndarray) -> np.ndarray:
@@ -408,48 +500,53 @@ def apply_single_qubit(amps: np.ndarray, n: int, i: int, gate: np.ndarray) -> np
     return np.einsum("st,atb->asb", gate, shaped).reshape(amps.shape)
 
 
+def _kron_gates(codes: np.ndarray) -> np.ndarray:
+    """Per row of codes (m, k), the Kronecker product of its frame gates,
+    qubit 1 most significant: shape (m, 2^k, 2^k)."""
+    out = np.ones((codes.shape[0], 1, 1), dtype=complex)
+    for q in range(codes.shape[1]):
+        g = _CODE_GATES[codes[:, q]]
+        size = 2 * out.shape[1]
+        out = out[:, :, None, :, None] * g[:, None, :, None, :]
+        out = out.reshape(-1, size, size)
+    return out
+
+
+def _rotate_leading(amps: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Row j of amps (broadcast) with the frame gates of codes[j] applied
+    to qubits 1..k, k = codes.shape[1]: shape (len(codes), 2^n)."""
+    count = codes.shape[0]
+    rows = np.broadcast_to(amps, (count, amps.shape[-1]))
+    for q in range(codes.shape[1]):
+        g = _CODE_GATES[codes[:, q]][:, :, :, None, None]
+        shaped = rows.reshape(count, 1 << q, 2, -1)
+        low, high = shaped[:, :, 0], shaped[:, :, 1]
+        rows = np.stack([g[:, 0, 0] * low + g[:, 0, 1] * high,
+                         g[:, 1, 0] * low + g[:, 1, 1] * high], axis=2)
+    return rows.reshape(count, -1)
+
+
+def _rotate_rows(amps: np.ndarray, n: int, frames) -> np.ndarray:
+    """Amplitudes rotated into each frame: shape (len(frames), 2^n)."""
+    return _rotate_leading(np.asarray(amps, dtype=complex),
+                           frame_codes(frames, n))
+
+
 def rotate_to_frame(amps: np.ndarray, frame) -> np.ndarray:
     """Rotate amplitudes so a computational measurement realizes the
     requested per-qubit eigenbasis measurement."""
-    n = amps.shape[0].bit_length() - 1
-    labels = _normalize_frame(frame, n)
-    out = amps
-    for i, lab in enumerate(labels, start=1):
-        if lab != "Z":
-            out = apply_single_qubit(out, n, i, _FRAME_GATES[lab])
-    return out
-
-
-def frame_unitary(frame) -> np.ndarray:
-    """Dense rotation matrix applied by :func:`rotate_to_frame`."""
-    mats = [_FRAME_GATES[lab] for lab in frame]
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, m)
-    return out
+    return _rotate_rows(amps, amps.shape[0].bit_length() - 1, [frame])[0]
 
 
 def born_probabilities(state, frame) -> np.ndarray:
     """Exact computational-basis outcome distribution after frame rotation."""
-    if isinstance(state, DenseState):
-        u = frame_unitary(_normalize_frame(frame, state.n))
-        probs = np.real(np.einsum("ij,jk,ik->i", u, state.matrix, np.conj(u)))
-    elif isinstance(state, TrajectoryMixture):
-        probs = sum(
-            w * born_probabilities(psi, frame) for w, psi in state.components
-        )
-    else:
-        amps = rotate_to_frame(f2._amplitudes(state), frame)
-        probs = np.abs(amps) ** 2
-    probs = np.clip(probs, 0.0, None)
+    probs = np.clip(state.born_laws([frame])[0], 0.0, None)
     return probs / probs.sum()
 
 
 def measure_computational(state, frame, rng: np.random.Generator) -> int:
     """One Born-rule outcome (an n-bit integer, qubit 1 = MSB) of measuring
     the state in the given per-qubit frame."""
-    if isinstance(state, TrajectoryMixture):
-        state = sample_component(state, rng)
     probs = born_probabilities(state, frame)
     return int(rng.choice(probs.shape[0], p=probs))
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
 from .f2 import PauliPoint, symplectic_product
-from .states import (DenseState, StateVector, TrajectoryMixture, as_density,
-                     phase_strip)
+from .states import DenseState, StateVector, phase_strip
 
 MUB_QUBIT_CAP = 4
 
@@ -219,9 +218,7 @@ class CoefficientTable:
 
 def exact_rows(rho, fam: MUBFamily) -> np.ndarray:
     """Exact Born rows <phi|rho|phi> for every basis (test/limit oracle)."""
-    dense = as_density(rho)
-    if isinstance(dense, TrajectoryMixture):
-        dense = dense.to_dense()
+    dense = rho.to_dense()
     rows = np.empty((len(fam.bases), 1 << fam.n))
     for j, b in enumerate(fam.bases):
         rows[j] = np.real(np.einsum("ik,ij,jk->k", np.conj(b.vectors),
@@ -295,10 +292,7 @@ def tomography_pipeline(rho, n: int, shots: int, seed: int = 0):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = estimate_coefficients(rho, fam, shots, rng)
     est = psd_project(reconstruct(table, fam))
-    dense = as_density(rho)
-    if isinstance(dense, TrajectoryMixture):
-        dense = dense.to_dense()
-    return est, l2_distance(est.matrix, dense.matrix)
+    return est, l2_distance(est.matrix, rho.to_dense().matrix)
 
 
 def estimate_phase_basis_fofe(rho, fam: MUBFamily, basis_index: int,

@@ -61,6 +61,15 @@ class TestExitCodes:
                                "--shots-ladder", "10")
         assert code == 3
 
+    @pytest.mark.parametrize("command",
+                             ["hypergraph-bounds", "haar-scan", "nldfe-compare"])
+    def test_nmin_below_one(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--nmin", "0", "--nmax", "2",
+                               "--samples", "2", "--deterministic")
+        assert code == 2
+        assert "--nmin" in err
+        assert "Traceback" not in err
+
     def test_unknown_command(self, capsys):
         code = cli.main(["frobnicate"])
         capsys.readouterr()

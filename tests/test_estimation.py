@@ -1,9 +1,13 @@
 """Tests for the three fidelity estimators and their aggregation layer."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fidest import estimation, samplers, states
+from fidest import cli, estimation, samplers, states
 from fidest.errors import ConfigError
 from fidest.f2 import PauliPoint, pauli_coefficients
 
@@ -30,12 +34,9 @@ class TestDFE:
         # At alpha = 1/2 every single-shot value has modulus exactly l1.
         rng = np.random.default_rng(1)
         target, rho = random_pure_pair(3, rng)
-        c = pauli_coefficients(target)
-        l1 = np.abs(c.values).sum()
-        sampler = samplers.ExactSampler(c, 0.5)
-        for _ in range(50):
-            rec = estimation.dfe_shot(rho, sampler, rng)
-            assert abs(rec.value) == pytest.approx(l1, abs=1e-9)
+        l1 = np.abs(pauli_coefficients(target).values).sum()
+        rep = estimation.run_estimator("dfe", target, rho, shots=50, seed=1)
+        assert np.allclose(np.abs(rep.values), l1, atol=1e-9, rtol=0)
 
     def test_povm_routes_agree_statistically(self):
         rng = np.random.default_rng(2)
@@ -43,10 +44,9 @@ class TestDFE:
         sampler = samplers.ExactSampler(pauli_coefficients(target), 0.5)
         shots = 4000
         means = {}
-        for povm in ("trajectory", "frame"):
-            vals = [estimation.dfe_shot(rho, sampler, rng, povm=povm).value
-                    for _ in range(shots)]
-            means[povm] = np.mean(vals)
+        for seed, povm in enumerate(("trajectory", "frame")):
+            means[povm] = estimation.run_estimator(
+                "dfe", target, rho, shots=shots, seed=seed, povm=povm).mean
         want = states.exact_fidelity(rho, target)
         se = sampler.norm_sum / np.sqrt(shots)
         assert abs(means["trajectory"] - want) < 4 * se
@@ -54,12 +54,9 @@ class TestDFE:
 
     def test_stabilizer_target_deterministic(self):
         zero = states.StateVector(2, np.eye(4, dtype=complex)[0])
-        sampler = samplers.ExactSampler(pauli_coefficients(zero), 0.5)
-        rng = np.random.default_rng(3)
         rho = states.TrajectoryMixture(2, ((1.0, zero),))
-        for _ in range(30):
-            assert estimation.dfe_shot(rho, sampler, rng).value \
-                == pytest.approx(1.0, abs=1e-12)
+        rep = estimation.run_estimator("dfe", zero, rho, shots=30, seed=3)
+        assert np.allclose(rep.values, 1.0, atol=1e-12, rtol=0)
 
 
 class TestFOFE:
@@ -88,10 +85,10 @@ class TestFOFE:
         rho = states.TrajectoryMixture(3, ((1.0, psi),))
         sampler = samplers.UniformXSampler(3, 0.5)
         rng = np.random.default_rng(5)
-        for _ in range(40):
-            rec = estimation.fofe_shot(rho, sampler, phi, rng)
-            assert rec.branch == "real"
-            assert abs(rec.value) == pytest.approx(sampler.norm_sum, abs=1e-12)
+        res = estimation.fofe_multi_target(rho, sampler, [phi], 40, rng)
+        assert res.executions == 40
+        assert np.allclose(np.abs(res.reports[0].values), sampler.norm_sum,
+                           atol=1e-12, rtol=0)
 
     def test_complex_phase_two_branches(self):
         rng = np.random.default_rng(6)
@@ -99,8 +96,8 @@ class TestFOFE:
         stripped, phi = states.phase_strip(target)
         sampler = samplers.ExactSampler(pauli_coefficients(stripped), 0.5)
         rho = states.depolarize(target, 0.2)
-        rec = estimation.fofe_shot(rho, sampler, phi, rng)
-        assert rec.branch == "real+imag"
+        res = estimation.fofe_multi_target(rho, sampler, [phi], 10, rng)
+        assert res.executions == 2 * 10
 
     def test_outcome_distribution_normalized(self):
         rng = np.random.default_rng(7)
@@ -117,8 +114,8 @@ class TestFOFE:
         stripped, phi = states.phase_strip(target)
         sampler = samplers.ExactSampler(pauli_coefficients(stripped), 0.5)
         shots = 4000
-        vals = [estimation.fofe_shot(rho, sampler, phi, rng).value
-                for _ in range(shots)]
+        vals = estimation.fofe_multi_target(rho, sampler, [phi], shots,
+                                            rng).reports[0].values
         want = states.exact_fidelity(rho, target)
         se = np.std(vals, ddof=1) / np.sqrt(shots)
         assert abs(np.mean(vals) - want) < 4 * se
@@ -212,16 +209,14 @@ class TestNLDFE:
         rng = np.random.default_rng(15)
         target, rho = random_pure_pair(3, rng)
         part = estimation.build_qwc_partition(pauli_coefficients(target))
-        for _ in range(50):
-            rec = estimation.nldfe_shot(rho, part, rng)
-            assert abs(rec.value) <= part.total_weight + 1e-9
+        rep = estimation.run_estimator("nldfe", target, rho, shots=50, seed=15)
+        assert np.all(np.abs(rep.values) <= part.total_weight + 1e-9)
 
     def test_statistical_agreement(self):
         rng = np.random.default_rng(16)
         target, rho = random_pure_pair(2, rng)
-        part = estimation.build_qwc_partition(pauli_coefficients(target))
-        vals = [estimation.nldfe_shot(rho, part, rng).value
-                for _ in range(4000)]
+        vals = estimation.run_estimator("nldfe", target, rho, shots=4000,
+                                        seed=16).values
         want = states.exact_fidelity(rho, target)
         se = np.std(vals, ddof=1) / np.sqrt(len(vals))
         assert abs(np.mean(vals) - want) < 4 * se
@@ -255,23 +250,28 @@ class TestRunEstimator:
         if rep.analytic_bound is not None:
             assert rep.variance <= rep.analytic_bound + 1e-9
 
-    def test_deterministic_across_worker_counts_fixed_seed(self):
-        rng = np.random.default_rng(18)
-        target, rho = random_pure_pair(2, rng)
-        rep1 = estimation.run_estimator("dfe", target, rho, shots=100,
-                                        seed=7, workers=1)
-        rep2 = estimation.run_estimator("dfe", target, rho, shots=100,
-                                        seed=7, workers=1)
-        assert np.array_equal(rep1.values, rep2.values)
+    def test_deterministic_across_worker_counts_fixed_seed(self, capsys):
+        # --workers changes no result: the rows for 1 and 4 workers are
+        # identical, and only the metadata echo differs.
+        for scheme in ("dfe", "fofe", "nldfe"):
+            rows = {}
+            for workers in (1, 4):
+                assert cli.main(["run", "--scheme", scheme, "--family", "haar",
+                                 "--n", "4", "--p", "0.2", "--shots", "300",
+                                 "--seed", "7", "--workers", str(workers),
+                                 "--deterministic", "--format", "json"]) == 0
+                rows[workers] = json.loads(capsys.readouterr().out)["rows"]
+            assert rows[1] == rows[4]
 
-    def test_worker_partition_reproducible(self):
+    def test_fixed_seed_reproducible(self):
         rng = np.random.default_rng(19)
         target, rho = random_pure_pair(2, rng)
-        rep4a = estimation.run_estimator("dfe", target, rho, shots=100,
-                                         seed=3, workers=4)
-        rep4b = estimation.run_estimator("dfe", target, rho, shots=100,
-                                         seed=3, workers=4)
-        assert np.array_equal(rep4a.values, rep4b.values)
+        for scheme in ("dfe", "fofe", "nldfe"):
+            rep_a = estimation.run_estimator(scheme, target, rho, shots=100,
+                                             seed=3)
+            rep_b = estimation.run_estimator(scheme, target, rho, shots=100,
+                                             seed=3)
+            assert np.array_equal(rep_a.values, rep_b.values)
 
     def test_bad_scheme_and_alpha(self):
         target = states.StateVector(1, np.array([1, 0], dtype=complex))
@@ -280,3 +280,256 @@ class TestRunEstimator:
             estimation.run_estimator("zfe", target, rho, shots=10)
         with pytest.raises(ConfigError):
             estimation.run_estimator("dfe", target, rho, shots=10, alpha=0.7)
+
+
+def explicit_depolarized(psi, p):
+    """The (2^n + 1)-component trajectory mixture that depolarize replaces."""
+    dim = 1 << psi.n
+    basis = tuple((p / dim, states.StateVector(psi.n, np.eye(dim, dtype=complex)[x]))
+                  for x in range(dim))
+    return states.TrajectoryMixture(psi.n, ((1.0 - p, psi),) + basis)
+
+
+noisy_targets = st.tuples(st.integers(1, 4), st.integers(0, 2**32 - 1),
+                          st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+
+
+class TestExactLawOracles:
+    """Each scheme's single-shot value law, enumerated from the engine's own
+    per-label outcome laws, checked against exact quantities to 1e-12."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(noisy_targets)
+    def test_dfe_law(self, case):
+        n, seed, p = case
+        target = states.haar_random(n, np.random.default_rng(seed))
+        rho = states.depolarize(target, p)
+        coeffs = pauli_coefficients(target)
+        l1 = np.abs(coeffs.values).sum()
+        sampler = samplers.ExactSampler(coeffs, 0.5)
+        values, probs = estimation.dfe_value_law(rho, sampler)
+        assert probs.min() >= -1e-12
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert values @ probs == pytest.approx(
+            states.exact_fidelity(rho, target), abs=1e-12)
+        assert values**2 @ probs == pytest.approx(l1**2, rel=1e-12)
+        # the frame route measures the same two-outcome POVM
+        frame_values, frame_probs = estimation.dfe_value_law(rho, sampler,
+                                                             "frame")
+        assert np.array_equal(frame_values, values)
+        assert np.allclose(frame_probs, probs, atol=1e-12, rtol=0)
+        # the closed-form noise has the law of the explicit mixture
+        _, mix_probs = estimation.dfe_value_law(explicit_depolarized(target, p),
+                                                sampler)
+        assert np.allclose(mix_probs, probs, atol=1e-12, rtol=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(noisy_targets, st.booleans())
+    def test_fofe_law(self, case, real_phase):
+        n, seed, p = case
+        rng = np.random.default_rng(seed)
+        if real_phase:
+            # phase state with phases in {0, pi}: every shot is +-1
+            table = np.pi * rng.integers(0, 2, 1 << n)
+            target = states.phase_state(states.PhaseFunction.from_table(n, table))
+            stripped, phi = states.phase_strip(target)
+            sampler = samplers.UniformXSampler(n, 0.5)
+        else:
+            target = states.haar_random(n, rng)
+            stripped, phi = states.phase_strip(target)
+            sampler = samplers.ExactSampler(pauli_coefficients(stripped), 0.5)
+        rho = states.depolarize(target, p)
+        values, probs = estimation.fofe_value_law(rho, sampler, phi)
+        assert probs.min() >= -1e-12
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert values @ probs == pytest.approx(
+            states.exact_fidelity(rho, target), abs=1e-12)
+        if real_phase:
+            assert np.allclose(values**2, 1.0, atol=1e-12, rtol=0)
+        _, mix_probs = estimation.fofe_value_law(
+            explicit_depolarized(target, p), sampler, phi)
+        assert np.allclose(mix_probs, probs, atol=1e-12, rtol=0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_fofe_laws_match_the_circuit(self, n, seed):
+        # closed-form branch laws against the simulated Hadamard-test circuit
+        rng = np.random.default_rng(seed)
+        psi = states.haar_random(n, rng)
+        for index in rng.integers(0, 4**n, 4):
+            a = PauliPoint.from_index(n, int(index))
+            for branch in ("real", "imag"):
+                want = np.abs(estimation.fofe_branch_amplitudes(psi, a, branch))**2
+                assert np.allclose(estimation.fofe_outcome_distribution(
+                    psi, a, branch), want, atol=1e-12, rtol=0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(noisy_targets)
+    def test_nldfe_law(self, case):
+        n, seed, p = case
+        target = states.haar_random(n, np.random.default_rng(seed))
+        rho = states.depolarize(target, p)
+        part = estimation.build_qwc_partition(pauli_coefficients(target))
+        values, probs = estimation.nldfe_value_law(rho, part)
+        assert probs.min() >= -1e-12
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert values @ probs == pytest.approx(
+            states.exact_fidelity(rho, target), abs=1e-12)
+        assert np.all(np.abs(values) <= part.total_weight * (1 + 1e-12))
+        _, mix_probs = estimation.nldfe_value_law(
+            explicit_depolarized(target, p), part)
+        assert np.allclose(mix_probs, probs, atol=1e-12, rtol=0)
+
+    def test_mixed_fofe_law_closed_form(self):
+        # I/2^n: the real branch has law 2^-n (1 + (-1)^b1 [ax = 0]
+        # (-1)^(az.b')) / 2 and the imaginary branch is uniform.
+        n = 2
+        mixed = states.depolarize(states.haar_random(n, np.random.default_rng(0)),
+                                  1.0)
+        dense = states.DenseState(n, np.eye(4) / 4)
+        b1, b = np.arange(8) >> n, np.arange(8) & 3
+        for index in range(16):
+            a = PauliPoint.from_index(n, index)
+            parity = np.array([bin(a.az & x).count("1") & 1 for x in b])
+            real = (1 + (-1.0)**b1 * (a.ax == 0) * (-1.0)**parity) / 8
+            for branch, want in (("real", real), ("imag", np.full(8, 1 / 8))):
+                for state in (mixed, dense):
+                    got = estimation.fofe_outcome_distribution(state, a, branch)
+                    assert np.allclose(got, want, atol=1e-15, rtol=0)
+
+    def test_inverse_cdf_quantiles(self):
+        # Evenly spaced u hit every outcome in proportion to its law, and
+        # never a zero-probability outcome.
+        laws = np.array([[0.25, 0.0, 0.75, 0.0], [0.0, 0.5, 0.0, 0.5]])
+        k = 400
+        u = (np.arange(k) + 0.5) / k
+        for row in range(2):
+            out = estimation._inverse_cdf(laws, np.full(k, row), u)
+            assert np.array_equal(np.bincount(out, minlength=4) / k, laws[row])
+
+
+def state_kinds(psi, rng):
+    """psi as each state type: pure, closed-form noise, dense, mixture."""
+    other = states.haar_random(psi.n, rng)
+    noisy = states.depolarize(psi, 0.3)
+    return (psi, noisy, noisy.to_dense(),
+            states.TrajectoryMixture(psi.n, ((0.4, psi), (0.6, other))))
+
+
+def assert_frequencies(outcomes, rows, laws):
+    """Each row's outcome frequencies lie within 6 binomial standard
+    errors (plus 1e-3) of its exact law."""
+    for row, law in enumerate(laws):
+        got = outcomes[rows == row]
+        freq = np.bincount(got, minlength=law.size) / got.size
+        se = np.sqrt(law * (1 - law) / got.size)
+        assert np.all(np.abs(freq - law) <= 6 * se + 1e-3), (row, freq, law)
+
+
+class TestOutcomeSamplers:
+    """The per-shot outcome draws follow the exact per-label laws the
+    value-law oracles enumerate."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("branch", ["real", "imag"])
+    def test_fofe_outcomes_follow_branch_law(self, n, branch):
+        rng = np.random.default_rng(40 + n)
+        labels = rng.integers(0, 4**n, 6)
+        for rho in state_kinds(states.haar_random(n, rng), rng):
+            diag = estimation._computational_law(rho)
+            laws = np.clip(estimation._fofe_laws(rho, labels, n, branch, diag), 0, None)
+            rows = rng.integers(0, labels.size, 120_000)
+            out = estimation._fofe_outcomes(rho, labels[rows], n, branch, diag,
+                                            rng.random((3, rows.size)))
+            assert_frequencies(out, rows, laws)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_frame_outcomes_follow_born_law(self, n):
+        rng = np.random.default_rng(50 + n)
+        codes = rng.integers(0, 3, (6, n))
+        for rho in state_kinds(states.haar_random(n, rng), rng):
+            laws = np.clip(rho.born_laws(codes), 0, None)
+            rows = rng.integers(0, codes.shape[0], 120_000)
+            out = estimation._frame_outcomes(rho, codes, rows,
+                                             rng.random((3, rows.size)))
+            assert_frequencies(out, rows, laws)
+
+    @settings(max_examples=25, deadline=None)
+    @given(noisy_targets)
+    def test_table_expectations_match_the_transform(self, case):
+        n, seed, p = case
+        rng = np.random.default_rng(seed)
+        target = states.haar_random(n, rng)
+        coeffs = pauli_coefficients(target)
+        labels = np.arange(4**n)
+        for rho in (target, states.depolarize(target, p)):
+            table = estimation._table_expectations(rho, target, coeffs)
+            assert np.allclose(table(labels),
+                               estimation._pauli_expectations(rho, n)(labels),
+                               atol=1e-12, rtol=0)
+        # any other state has no table, however equal its matrix
+        for rho in (explicit_depolarized(target, p),
+                    states.depolarize(target, p).to_dense(),
+                    states.depolarize(states.haar_random(n, rng), p)):
+            assert estimation._table_expectations(rho, target, coeffs) is None
+
+    def test_cdf_table_matches_searchsorted(self):
+        rng = np.random.default_rng(60)
+        for _ in range(300):
+            size = int(rng.integers(1, 40))
+            w = rng.random(size) * (rng.random(size) < 0.6)
+            w[0] += w.sum() == 0
+            cum = np.cumsum(w)
+            v = np.concatenate([rng.random(200) * cum[-1], cum,
+                                np.nextafter(cum, 0), [0.0]])
+            want = np.minimum(np.searchsorted(cum, v, side="right"), size - 1)
+            assert np.array_equal(samplers.CdfTable(cum).search(v), want)
+        # values just below sums that sit on bucket edges, where the guide
+        # table's rounded edge lands one step past the answer
+        for size in range(1, 100):
+            cum = np.arange(1, size + 1) / size
+            v = np.nextafter(cum, 0)
+            want = np.minimum(np.searchsorted(cum, v, side="right"), size - 1)
+            assert np.array_equal(samplers.CdfTable(cum).search(v), want)
+
+
+def sequential_partition(coeffs, frames, tol=1e-12):
+    """Reference QWC partition: frames in the given order, each claiming
+    the nonzero coefficients of its group that no earlier frame holds."""
+    n = coeffs.n
+    claimed = np.zeros(4**n, dtype=bool)
+    groups = []
+    for frame in frames:
+        mx = sum(1 << (n - 1 - q) for q, lab in enumerate(frame) if lab != "Z")
+        mz = sum(1 << (n - 1 - q) for q, lab in enumerate(frame) if lab != "X")
+        s = np.arange(1 << n)
+        idx = ((s & mx) << n) | (s & mz)
+        take = ~claimed[idx] & (np.abs(coeffs.values[idx]) > tol)
+        if take.any():
+            claimed[idx[take]] = True
+            groups.append((tuple(frame), tuple(idx[take].tolist()),
+                           np.where(take, coeffs.values[idx], 0.0)))
+    return groups
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("ordering", ["canonical", "greedy-weight"])
+def test_partition_matches_sequential_claims(n, ordering):
+    import itertools
+    rng = np.random.default_rng(70 + n)
+    for psi in (states.haar_random(n, rng), states.dicke_state(n, 1),
+                states.StateVector(n, np.eye(1 << n, dtype=complex)[0])):
+        coeffs = pauli_coefficients(psi)
+        frames = list(itertools.product("ZXY", repeat=n))
+        if ordering == "greedy-weight":
+            full = coeffs.values[[
+                (sum(1 << (n - 1 - q) for q, lab in enumerate(f) if lab != "Z") << n)
+                | sum(1 << (n - 1 - q) for q, lab in enumerate(f) if lab != "X")
+                for f in frames]]
+            frames = [frames[k] for k in np.argsort(-np.abs(full), kind="stable")]
+        part = estimation.build_qwc_partition(coeffs, ordering)
+        want = sequential_partition(coeffs, frames)
+        assert [(g.frame, g.claimed) for g in part.groups] == \
+            [(frame, claimed) for frame, claimed, _ in want]
+        for g, (_, _, c_s) in zip(part.groups, want):
+            assert np.array_equal(g.coeffs, c_s)

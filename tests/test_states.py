@@ -122,10 +122,16 @@ class TestDicke:
 
 class TestDepolarize:
     def test_mixture_weights(self):
+        # The closed form equals the trajectory mixture of psi (weight 1-p)
+        # and every computational basis state (weight p/2^n).
         psi = states.haar_random(2, np.random.default_rng(5))
         mix = states.depolarize(psi, 0.2)
-        assert mix.components[0][0] == pytest.approx(0.8)
-        assert sum(w for w, _ in mix.components) == pytest.approx(1.0)
+        assert mix.p == pytest.approx(0.2) and mix.psi is psi
+        explicit = states.TrajectoryMixture(2, ((0.8, psi),) + tuple(
+            (0.05, states.StateVector(2, np.eye(4, dtype=complex)[x]))
+            for x in range(4)))
+        assert np.allclose(mix.to_dense().matrix, explicit.to_dense().matrix,
+                           atol=1e-15)
 
     def test_to_dense_matches_channel(self):
         rng = np.random.default_rng(6)
@@ -147,6 +153,26 @@ class TestDepolarize:
         want = 0.75 + 0.25 / 8
         assert states.exact_fidelity(mix, psi) == pytest.approx(want)
         assert states.exact_fidelity(mix.to_dense(), psi) == pytest.approx(want)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_pure_ensemble_and_entries_rebuild_the_state(self, n):
+        # sum_k w_k |a_k><a_k| + u I/2^n, and entries(x, y) over the full
+        # grid, give back the density matrix of every state type
+        rng = np.random.default_rng(8 + n)
+        psi, other = states.haar_random(n, rng), states.haar_random(n, rng)
+        noisy = states.depolarize(psi, 0.35)
+        dim = 1 << n
+        for rho in (psi, noisy, noisy.to_dense(),
+                    states.TrajectoryMixture(n, ((0.3, psi), (0.7, other)))):
+            weights, amps, mixed = rho.pure_ensemble()
+            assert weights.sum() + mixed == pytest.approx(1.0, abs=1e-12)
+            rebuilt = (np.einsum("k,ki,kj->ij", weights, amps, amps.conj())
+                       + mixed * np.eye(dim) / dim)
+            want = rho.to_dense().matrix
+            assert np.allclose(rebuilt, want, atol=1e-12, rtol=0)
+            x = np.arange(dim)
+            assert np.allclose(rho.entries(x[:, None], x[None, :]), want,
+                               atol=1e-15, rtol=0)
 
 
 class TestMPS:
@@ -222,11 +248,17 @@ class TestMeasurement:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_mixture_sampling_traces_out(self, seed):
+        # Measuring the closed-form mixture follows the Born law of its
+        # density matrix: the trajectory component is traced out.
         rng = np.random.default_rng(seed)
         psi = states.haar_random(2, rng)
         mix = states.depolarize(psi, 0.5)
-        comp = states.sample_component(mix, rng)
-        assert np.linalg.norm(comp.amplitudes) == pytest.approx(1.0)
+        frame = ("X", "Y")
+        probs = states.born_probabilities(mix, frame)
+        assert probs.sum() == pytest.approx(1.0)
+        assert np.allclose(probs, states.born_probabilities(mix.to_dense(), frame),
+                           atol=1e-12)
+        assert 0 <= states.measure_computational(mix, frame, rng) < 4
 
 
 class TestSerialization:
