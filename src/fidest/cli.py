@@ -249,7 +249,7 @@ def cmd_tomography(args) -> ResultTable:
     table = ResultTable(
         columns=["n", "shots_per_basis", "l2_error"],
         metadata={"config": _config_echo(args, ("n", "shots_ladder"))})
-    for shots in (int(s) for s in args.shots_ladder.split(",")):
+    for shots in _shots_ladder(args.shots_ladder):
         _, err = tomography.tomography_pipeline(rho, args.n, shots,
                                                 seed=args.seed)
         table.add(args.n, shots, repr(err))
@@ -472,6 +472,18 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     return args
 
 
+def _shots_ladder(text) -> list:
+    """The comma-separated shot counts of `--shots-ladder` (0: exact rows)."""
+    try:
+        ladder = [int(s) for s in str(text).split(",")]
+    except ValueError:
+        raise ConfigError("--shots-ladder must be comma-separated integers, "
+                          f"got {text!r}") from None
+    if min(ladder) < 0:
+        raise ConfigError(f"--shots-ladder entries must be >= 0, got {text!r}")
+    return ladder
+
+
 def _validate(args) -> None:
     for key in ("shots", "samples", "workers", "nmin"):
         val = getattr(args, key, None)
@@ -480,9 +492,27 @@ def _validate(args) -> None:
     n = getattr(args, "n", None)
     if n is not None and n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
-    if args.command == "tomography" and args.n > tomography.MUB_QUBIT_CAP:
-        raise CapExceededError(
-            f"tomography capped at n <= {tomography.MUB_QUBIT_CAP}")
+    # Fidelities reachable by depolarizing an n-qubit pure target: [2^-n, 1].
+    for key in ("fidelity", "input_fidelity"):
+        val = getattr(args, key, None)
+        if val is not None and not 2.0**-n <= val <= 1.0:
+            raise ConfigError(f"--{key.replace('_', '-')} must lie in "
+                              f"[2^-n, 1] = [{2.0**-n!r}, 1], got {val}")
+    if args.command == "run" and not 0.0 <= args.p <= 1.0:
+        raise ConfigError(f"--p must lie in [0, 1], got {args.p}")
+    family = getattr(args, "family", None)
+    if family == "dicke" and not 0 <= args.k <= n:
+        raise ConfigError(f"--k must lie in 0..{n}, got {args.k}")
+    if args.command == "dicke" and not 0 <= args.k <= n // 2:
+        raise ConfigError(f"the Dicke sampler needs 0 <= --k <= n/2 = {n // 2}, "
+                          f"got {args.k}")
+    if (family == "mps" or args.command == "mps-sample") and args.chi < 1:
+        raise ConfigError(f"--chi must be >= 1, got {args.chi}")
+    if args.command == "tomography":
+        _shots_ladder(args.shots_ladder)
+        if args.n > tomography.MUB_QUBIT_CAP:
+            raise CapExceededError(
+                f"tomography capped at n <= {tomography.MUB_QUBIT_CAP}")
     if args.command == "mps-sample" and (args.n > 12 or args.chi > 8):
         raise CapExceededError("mps-sample capped at n <= 12, chi <= 8")
     if args.command in ("run", "norms") and args.n > 10:

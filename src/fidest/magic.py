@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln
 
 from .errors import DimensionError
 from .f2 import COEFF_TOL, F2Matrix, f2_rank, pauli_coefficients
@@ -238,25 +237,7 @@ def random3_variance_bounds(n: int) -> VarianceBounds:
 
 
 # ---------------------------------------------------------------------------
-# Incomplete beta closed forms (Haar-average l1)
-
-
-def incomplete_beta(x: float, a: float, b: float) -> float:
-    """Unregularized incomplete beta B(x; a, b) = int_0^x t^(a-1)(1-t)^(b-1) dt."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x={x} outside [0, 1]")
-    if a <= 0 or b <= 0:
-        raise ValueError("a, b must be positive")
-    return float(betainc(a, b, x) * math.exp(betaln(a, b)))
-
-
-def incomplete_beta_log(x: float, a: float, b: float) -> float:
-    """log B(x; a, b), stable for large parameters where B underflows."""
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"x={x} outside (0, 1]")
-    if a <= 0 or b <= 0:
-        raise ValueError("a, b must be positive")
-    return float(np.log(betainc(a, b, x)) + betaln(a, b))
+# Haar-average l1 closed form
 
 
 def haar_l1_mean_log(n: int) -> float:
@@ -273,9 +254,9 @@ def haar_l1_mean_log(n: int) -> float:
     m = 2 ** (n - 1)
     log_main = (
         math.log(4.0**n - 1.0)
-        + gammaln(2.0**n)
+        + math.lgamma(2.0**n)
         - n * _LN2
-        - 2.0 * gammaln(float(m))
+        - 2.0 * math.lgamma(float(m))
         + (1.0 - 2.0 * m) * _LN2
         - math.log(float(m))
     )
@@ -294,23 +275,6 @@ def haar_l1_asymptote(n: int) -> float:
 # ---------------------------------------------------------------------------
 # Dirichlet estimator for the phase-stripped l1-norm
 
-#: Dirichlet-estimator prefactor variants for the dominant cross-class
-#: term.  "class-count" is the default (arbitrated against the n <= 6
-#: brute-force oracle); "literal" and "rederived" are kept for comparison.
-STRIPPED_L1_FORMULAS = ("class-count", "literal", "rederived")
-
-
-def _stripped_l1_prefactor(n: int, formula: str) -> float:
-    d = 2.0**n
-    if formula == "class-count":
-        return (d - 1.0) * (d - 2.0) / d
-    if formula == "literal":
-        return (d - 1.0) ** 2
-    if formula == "rederived":
-        return 2.0 * (d - 1.0) ** 2 / d
-    raise ValueError(f"unknown formula {formula!r}")
-
-
 def stripped_l1_base_terms(n: int) -> float:
     """Closed small terms of the stripped-l1 estimator: identity class,
     Z-type class, and X-type class contributions."""
@@ -320,14 +284,14 @@ def stripped_l1_base_terms(n: int) -> float:
 
 
 def haar_stripped_l1_estimate(n: int, samples: int, rng: np.random.Generator,
-                              formula: str = "class-count",
                               batch_elements: int = 1 << 22):
     """Monte Carlo estimate (mean, stderr) of the Haar-average l1-norm of
     the phase-stripped state, via Dirichlet(1,...,1) probability vectors.
 
-    Each draw evaluates base + prefactor * |S| where S sums
+    Each draw evaluates base + (d-1)(d-2)/d * |S|, d = 2^n, where S sums
     sqrt(p0 p1) - sqrt(p2 p3) over consecutive quadruples of the sampled
-    probability vector.
+    probability vector; the class-count prefactor (d-1)(d-2)/d is checked
+    against brute-force stripping at n <= 6.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -335,7 +299,7 @@ def haar_stripped_l1_estimate(n: int, samples: int, rng: np.random.Generator,
         raise ValueError("n >= 2 required (quadruple structure)")
     d = 1 << n
     base = stripped_l1_base_terms(n)
-    pref = _stripped_l1_prefactor(n, formula)
+    pref = (d - 1.0) * (d - 2.0) / d
     per_batch = max(1, batch_elements // d)
     vals = np.empty(samples, dtype=float)
     done = 0
@@ -356,4 +320,5 @@ def dirichlet_sqrt_pair_moment(n: int) -> float:
     """E[sqrt(p_i p_j)] for distinct entries of Dirichlet(1,...,1) on 2^n
     cells: Gamma(2^n) Gamma(3/2)^2 / Gamma(2^n + 1)."""
     d = 2.0**n
-    return math.exp(gammaln(d) + 2.0 * gammaln(1.5) - gammaln(d + 1.0))
+    return math.exp(math.lgamma(d) + 2.0 * math.lgamma(1.5)
+                    - math.lgamma(d + 1.0))

@@ -6,8 +6,8 @@ projection back onto the density-matrix cone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -65,6 +65,10 @@ class MUBBasis:
     paulis: tuple  # the 2^n - 1 nontrivial PauliPoints of the class
     vectors: np.ndarray = field(repr=False)  # (2^n, 2^n), columns orthonormal
 
+    def __post_init__(self) -> None:
+        # read-only: one cached family is shared by every caller
+        self.vectors.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class MUBFamily:
@@ -81,47 +85,6 @@ def _dense_pauli(a: PauliPoint) -> np.ndarray:
         e[x] = 1.0
         mat[:, x] = _apply_pauli_amps(a.n, a.ax, a.az, e)
     return mat
-
-
-def jacobi_eigh(h: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi diagonalization of a complex Hermitian matrix.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns,
-    unsorted; off-diagonal Frobenius norm driven below tol.
-    """
-    a = np.array(h, dtype=complex)
-    dim = a.shape[0]
-    if a.shape != (dim, dim) or np.max(np.abs(a - a.conj().T)) > 1e-9:
-        raise NumericalHealthError("jacobi_eigh requires a Hermitian matrix")
-    v = np.eye(dim, dtype=complex)
-    mask = ~np.eye(dim, dtype=bool)
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.abs(a[mask]) ** 2)))
-        if off <= tol:
-            break
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                if abs(apq) < tol / (dim * dim):
-                    continue
-                app, aqq = a[p, p].real, a[q, q].real
-                phase = apq / abs(apq)
-                theta = 0.5 * math.atan2(2.0 * abs(apq), app - aqq)
-                c = math.cos(theta)
-                s = math.sin(theta) * phase.conjugate()
-                # rows/cols p, q rotation: [c, s; -conj(s), c]
-                rp = c * a[p, :] + np.conj(s) * a[q, :]
-                rq = -s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rp, rq
-                cp = c * a[:, p] + s * a[:, q]
-                cq = -np.conj(s) * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = cp, cq
-                vp = c * v[:, p] + s * v[:, q]
-                vq = -np.conj(s) * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = vp, vq
-    else:
-        raise NumericalHealthError("Jacobi diagonalization did not converge")
-    return np.real(np.diag(a)).copy(), v
 
 
 def _f2_independent_generators(paulis, n: int):
@@ -153,17 +116,18 @@ def _class_eigenbasis(paulis, n: int) -> np.ndarray:
     h = np.zeros((dim, dim), dtype=complex)
     for j, a in enumerate(_f2_independent_generators(paulis, n)):
         h += (3.0 ** (j + 1)) * _dense_pauli(a)
-    vals, vecs = jacobi_eigh(h)
-    order = np.argsort(-vals, kind="stable")
-    vecs = vecs[:, order]
-    # deterministic global phase: largest-magnitude entry made real positive
-    for j in range(dim):
-        k = int(np.argmax(np.abs(vecs[:, j])))
-        ph = vecs[k, j] / abs(vecs[k, j])
-        vecs[:, j] = vecs[:, j] / ph
-    return vecs
+    # The spectrum is simple, so each eigenvector is unique up to phase.
+    vecs = np.linalg.eigh(h)[1][:, ::-1]
+    # deterministic global phase: the first entry of largest magnitude (up
+    # to rounding; every entry of a non-Z MUB vector has modulus 2^(-n/2))
+    # made real positive
+    mags = np.abs(vecs)
+    k = np.argmax(mags > mags.max(axis=0) - 1e-9, axis=0)
+    ph = vecs[k, np.arange(dim)]
+    return vecs / (ph / np.abs(ph))
 
 
+@lru_cache(maxsize=None)
 def mub_family(n: int) -> MUBFamily:
     """2^n + 1 mutually unbiased bases partitioning the nontrivial Paulis
     into maximal commuting classes (GF(2^n) spread in a self-dual basis)."""
@@ -273,9 +237,9 @@ def psd_project(h: np.ndarray) -> DenseState:
     h = np.asarray(h, dtype=complex)
     if np.max(np.abs(h - h.conj().T)) > 1e-9:
         raise NumericalHealthError("psd_project requires a Hermitian matrix")
-    vals, vecs = jacobi_eigh(h)
-    order = np.argsort(-vals, kind="stable")
-    vals, vecs = vals[order], vecs[:, order]
+    # Equal eigenvalues stay equal under the simplex projection, so the
+    # result does not depend on the basis chosen in a degenerate eigenspace.
+    vals, vecs = np.linalg.eigh(h)
     pvals = simplex_project(vals)
     n = h.shape[0].bit_length() - 1
     return DenseState(n, (vecs * pvals[None, :]) @ vecs.conj().T)

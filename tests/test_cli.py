@@ -3,9 +3,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fidest
 from fidest import cli, magic
 
 
@@ -70,6 +74,24 @@ class TestExitCodes:
         assert "--nmin" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--p", "1.5"),
+        ("run", "--p", "-0.2"),
+        ("run", "--input-fidelity", "2"),
+        ("run", "--family", "dicke", "--n", "6", "--k", "7"),
+        ("dicke", "--n", "8", "--k", "5"),
+        ("tomography", "--shots-ladder", "10,abc"),
+        ("tomography", "--shots-ladder", "-5"),
+        ("fig2a", "--n", "3", "--fidelity", "2"),
+        ("mps-sample", "--chi", "0"),
+        ("norms", "--family", "mps", "--chi", "0"),
+    ], ids=" ".join)
+    def test_bad_input(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--deterministic")
+        assert code == 2
+        assert "error" in err
+        assert "Traceback" not in err
+
     def test_unknown_command(self, capsys):
         code = cli.main(["frobnicate"])
         capsys.readouterr()
@@ -80,6 +102,17 @@ class TestExitCodes:
                                "--n", "4", "--k", "2", "--deterministic")
         assert code == 0
         assert out
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs ~0.25 s of every fidest process; no command needs it.
+    src = os.path.dirname(os.path.dirname(fidest.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, fidest.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "False"
 
 
 class TestDeterminism:

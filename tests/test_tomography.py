@@ -65,23 +65,53 @@ class TestMUBFamily:
         with pytest.raises(CapExceededError):
             tomography.mub_family(5)
 
+    def test_family_is_shared_and_read_only(self):
+        fam = tomography.mub_family(2)
+        assert tomography.mub_family(2) is fam
+        for b in fam.bases:
+            with pytest.raises(ValueError):
+                b.vectors[0, 0] = 0.0
 
-class TestJacobi:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        h = g + g.conj().T
-        vals, vecs = tomography.jacobi_eigh(h)
-        assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T - h)) < 1e-9
-        assert np.allclose(np.sort(vals), np.sort(np.linalg.eigvalsh(h)),
-                           atol=1e-9)
+
+class TestClassEigenbasis:
+    """The MUB vectors of a class are the eigenvectors of the 3^j-weighted
+    sum h of its generators; h's spectrum is simple, so they are unique up
+    to the phase that `_class_eigenbasis` pins."""
+
+    @staticmethod
+    def generator_sums(n):
+        for b in tomography.mub_family(n).bases[1:]:
+            gens = tomography._f2_independent_generators(b.paulis, n)
+            h = sum(3.0 ** (j + 1) * tomography._dense_pauli(a)
+                    for j, a in enumerate(gens))
+            yield b.paulis, h
+
+    def test_reconstructs_generator_sum(self):
+        for n in (1, 2, 3, 4):
+            for paulis, h in self.generator_sums(n):
+                vecs = tomography._class_eigenbasis(paulis, n)
+                vals = np.real(np.diag(vecs.conj().T @ h @ vecs))
+                assert np.max(np.abs(vecs @ np.diag(vals) @ vecs.conj().T
+                                     - h)) < 1e-9
+                assert (np.diff(vals) < 0).all()  # descending
+                # phase rule: the first entry of largest modulus is real > 0
+                k = np.argmax(np.abs(vecs) > np.abs(vecs).max(axis=0) - 1e-9,
+                              axis=0)
+                pinned = vecs[k, np.arange(vecs.shape[1])]
+                assert np.max(np.abs(pinned.imag)) < 1e-12
+                assert (pinned.real > 0).all()
 
     def test_orthonormal_vectors(self):
-        rng = np.random.default_rng(1)
-        g = rng.standard_normal((6, 6))
-        h = (g + g.T).astype(complex)
-        _, vecs = tomography.jacobi_eigh(h)
-        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(6))) < 1e-10
+        for n in (1, 2, 3, 4):
+            for paulis, _ in self.generator_sums(n):
+                vecs = tomography._class_eigenbasis(paulis, n)
+                dim = 1 << n
+                assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) < 1e-10
+
+    def test_simple_spectrum(self):
+        for n in (1, 2, 3, 4):
+            for _, h in self.generator_sums(n):
+                assert np.diff(np.linalg.eigvalsh(h)).min() > 1.0
 
 
 class TestSimplexProject:
