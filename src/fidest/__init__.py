@@ -2,7 +2,7 @@
 
 Modules:
   f2          -- binary-symplectic Pauli algebra, FWHT, F2 linear algebra
-  states      -- state construction, phase stripping, noise, measurement
+  states      -- state construction, phase stripping, noise, Born laws
   magic       -- l-norms, stabilizer Renyi entropies, variance bounds,
                  hypergraph rank machinery, Haar/Dirichlet closed forms
   samplers    -- l_2a phase-point samplers (exact, phase-state, Dicke,
@@ -22,8 +22,8 @@ from .f2 import (CoeffVector, F2Matrix, PauliPoint, apply_pauli,
 from .states import (DenseState, Depolarized, PhaseFunction, RealMPS,
                      StateVector, TrajectoryMixture, depolarize, dicke_state,
                      exact_fidelity, haar_random, hypergraph_state,
-                     measure_computational, mps_to_statevector, phase_state,
-                     phase_strip, random_real_mps)
+                     mps_to_statevector, phase_state, phase_strip,
+                     random_real_mps)
 
 __all__ = [
     "__version__",
@@ -34,6 +34,6 @@ __all__ = [
     "pauli_expectation", "symplectic_product",
     "DenseState", "Depolarized", "PhaseFunction", "RealMPS", "StateVector",
     "TrajectoryMixture", "depolarize", "dicke_state", "exact_fidelity",
-    "haar_random", "hypergraph_state", "measure_computational",
-    "mps_to_statevector", "phase_state", "phase_strip", "random_real_mps",
+    "haar_random", "hypergraph_state", "mps_to_statevector", "phase_state",
+    "phase_strip", "random_real_mps",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, estimation, magic, samplers, states, tomography
 from .errors import CapExceededError, ConfigError, NumericalHealthError
-from .f2 import f2_rank, pauli_coefficients
+from .f2 import pauli_coefficients
 
 
 @dataclass
@@ -58,8 +58,11 @@ def _emit(table: ResultTable, args) -> None:
         table.metadata.setdefault("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S"))
     text = table.to_json() if args.format == "json" else table.to_csv()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -174,23 +177,17 @@ def cmd_hypergraph_bounds(args) -> ResultTable:
             args, ("nmin", "nmax", "samples", "shots"))})
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     for n in range(args.nmin, args.nmax + 1):
-        # random third-order hypergraphs: fresh edge set per rank sample
-        ranks = np.empty(args.samples)
-        triples = states.complete_3_hypergraph_edges(n)
-        for j in range(args.samples):
-            keep = [t for t in triples if rng.random() < 0.5]
-            x = int(rng.integers(0, 1 << n))
-            ranks[j] = f2_rank(magic.hypergraph_derivative_matrix(n, keep, x))
+        sampled = magic.random3_sampled_bounds(n, args.samples, rng)
         closed = magic.random3_variance_bounds(n)
         second = ""
         if n <= 7 and args.shots > 0:
-            target, _ = states.hypergraph_state(n, triples)
+            target, _ = states.hypergraph_state(
+                n, states.complete_3_hypergraph_edges(n))
             rep = estimation.run_estimator("dfe", target, target, alpha=0.5,
                                            shots=args.shots, seed=args.seed)
             second = repr(float(np.mean(rep.values**2)))
-        table.add(n, repr(float(2.0 ** ranks.mean())),
-                  repr(float(np.mean(2.0**ranks))), repr(closed.lower),
-                  repr(closed.upper), second)
+        table.add(n, repr(sampled.lower), repr(sampled.upper),
+                  repr(closed.lower), repr(closed.upper), second)
     return table
 
 
@@ -444,14 +441,38 @@ _DEFAULTS = {
 }
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options: CLI flags > config file > built-in defaults."""
+def _command_options(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The argparse action of each option of one subcommand, by dest."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+def _config_value(action: argparse.Action, name: str, val):
+    """A config file value read as the flag's own text would be: through
+    the option's type and choices (a switch takes true or false)."""
+    if action.nargs == 0:
+        ok = isinstance(val, bool)
+    else:
+        try:
+            val = (action.type or str)(str(val))
+            ok = action.choices is None or val in action.choices
+        except ValueError:
+            ok = False
+    if not ok:
+        raise ConfigError(f"config value {val!r} is not valid for --{name}")
+    return val
+
+
+def _apply_config(args: argparse.Namespace, options: dict) -> argparse.Namespace:
+    """Fill unset options: CLI flags > config file > built-in defaults.
+    A null in the file leaves the option to the default."""
     file_cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not JSON, not text
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -460,11 +481,10 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, val in vars(args).items():
         if val is not None or key in ("command", "config"):
             continue
-        norm = key.replace("_", "-")
-        if norm in file_cfg:
-            setattr(args, key, file_cfg[norm])
-        elif key in file_cfg:
-            setattr(args, key, file_cfg[key])
+        name = key.replace("_", "-")
+        val = file_cfg.get(name, file_cfg.get(key))
+        if val is not None:
+            setattr(args, key, _config_value(options[key], name, val))
         elif key in defaults:
             setattr(args, key, defaults[key])
     if args.deterministic is None:
@@ -489,6 +509,11 @@ def _validate(args) -> None:
         val = getattr(args, key, None)
         if val is not None and val < 1:
             raise ConfigError(f"--{key} must be >= 1, got {val}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    nmin = getattr(args, "nmin", None)
+    if nmin is not None and args.nmax < nmin:
+        raise ConfigError(f"--nmax must be >= --nmin = {nmin}, got {args.nmax}")
     n = getattr(args, "n", None)
     if n is not None and n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
@@ -525,7 +550,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(args)
+        args = _apply_config(args, _command_options(parser, args.command))
         _validate(args)
         table = _COMMANDS[args.command](args)
         _emit(table, args)

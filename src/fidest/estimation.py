@@ -32,19 +32,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (CapExceededError, ConfigError, DimensionError,
-                     NumericalHealthError)
-from .f2 import (_POWERS_OF_I, COEFF_TOL, CoeffVector, PauliPoint,
+from .errors import CapExceededError, ConfigError, DimensionError
+from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, PauliPoint,
                  _apply_pauli_amps, diagonalizing_frame, fwht,
-                 pauli_coefficients, popcount_array)
+                 pauli_coefficients, pauli_expectation_rows, pauli_phase,
+                 popcount_array)
 from .samplers import CdfTable, ExactSampler, UniformXSampler
 from .states import (_FRAME_LABELS, PhaseFunction, StateVector, _kron_gates,
                      _rotate_leading, exact_fidelity, phase_strip)
 
 QWC_QUBIT_CAP = 9
+#: coefficients with |c| above this join a QWC group
+QWC_TOL = 1e-12
 
-#: target size of each (distinct labels) x 2^n block the engine holds
-CHUNK_BYTES = 1 << 20
 #: shots drawn and processed at a time, so that the per-shot arrays stay
 #: in cache and every block costs the same
 BLOCK_SHOTS = 1 << 16
@@ -136,10 +136,6 @@ def _parity_signs(words: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (popcount_array(words.astype(np.uint64)) & 1)
 
 
-def _pauli_phase(ax: np.ndarray, az: np.ndarray) -> np.ndarray:
-    return _POWERS_OF_I[popcount_array((ax & az).astype(np.uint64)) & 3]
-
-
 def _weights(sampler, labels: np.ndarray) -> np.ndarray:
     """Importance weight norm_sum |c|^(1 - 2 alpha) sign(c) of each label."""
     c = sampler.coefficients(labels)
@@ -164,10 +160,9 @@ def _born_law_rows(rho, frames, n: int) -> np.ndarray:
 
 
 def _pauli_expectations(rho, n: int):
-    """<T_a>_rho as a function of flat labels: i^|ax & az| times the
-    Walsh-Hadamard transform of rho's ax-th XOR diagonal at az.  Each
-    distinct ax is transformed once, when first drawn, and its row of the
-    2^n x 2^n table kept for later calls."""
+    """<T_a>_rho as a function of flat labels.  Each distinct ax gets its
+    row of the 2^n x 2^n table from ``pauli_expectation_rows`` when first
+    drawn, and the row is kept for later calls."""
     dim = 1 << n
     table = np.empty((dim, dim))
     done = np.zeros(dim, dtype=bool)
@@ -175,14 +170,7 @@ def _pauli_expectations(rho, n: int):
     def expectations(labels: np.ndarray) -> np.ndarray:
         ax, az = _split(labels, n)
         new = np.flatnonzero(np.bincount(ax[~done[ax]], minlength=dim))
-        for sl in _row_chunks(new.size, 16 << n):
-            words = new[sl]
-            vals = (fwht(rho.xor_diagonals(words))
-                    * _pauli_phase(words[:, None], np.arange(dim)))
-            worst = float(np.max(np.abs(vals.imag)))
-            if worst > 1e-9:
-                raise NumericalHealthError(f"expectation has imaginary part {worst}")
-            table[words] = vals.real
+        table[new] = pauli_expectation_rows(rho, new)
         done[new] = True
         return table[ax, az]
     return expectations
@@ -190,24 +178,14 @@ def _pauli_expectations(rho, n: int):
 
 def _frame_expectations(rho, labels: np.ndarray, n: int) -> np.ndarray:
     """<T_a>_rho as the mean parity a'.b of the computational outcome b
-    after rotating into the diagonalizing frame of T_a."""
+    after rotating into the diagonalizing frame of T_a: the measurement a
+    device makes, and the reference the tests hold the engine's <T_a>
+    against."""
     frames, aprimes = zip(*(diagonalizing_frame(PauliPoint.from_index(n, int(i)))
                             for i in labels))
     laws = _born_law_rows(rho, list(frames), n)
     signs = _parity_signs(np.arange(1 << n) & np.array(aprimes)[:, None])
     return np.sum(laws * signs, axis=1)
-
-
-def _expectations(rho, n: int, povm: str):
-    """<T_a>_rho as a function of flat labels (labels may repeat)."""
-    if povm == "trajectory":
-        return _pauli_expectations(rho, n)
-    if povm == "frame":
-        def expectations(labels: np.ndarray) -> np.ndarray:
-            by_label = _Groups.of(labels)
-            return _frame_expectations(rho, by_label.uniq, n)[by_label.inv]
-        return expectations
-    raise ConfigError(f"unknown POVM path {povm!r}")
 
 
 def _table_expectations(rho, target: StateVector, coeffs: CoeffVector):
@@ -235,13 +213,13 @@ def _dfe_values(sampler, shots: int, rng: np.random.Generator,
     return _in_blocks(shots, block)
 
 
-def dfe_value_law(rho, sampler, povm: str = "trajectory"):
+def dfe_value_law(rho, sampler):
     """Exact single-shot value law (values, probabilities) of alpha-DFE,
     over the sampler's support times the two POVM outcomes."""
     dist = sampler.distribution()
     labels = np.flatnonzero(dist)
     w = _weights(sampler, labels)
-    t = _expectations(rho, sampler.n, povm)(labels)
+    t = _pauli_expectations(rho, sampler.n)(labels)
     plus = dist[labels] * (1.0 + t) / 2.0
     return np.concatenate([w, -w]), np.concatenate([plus, dist[labels] - plus])
 
@@ -291,7 +269,7 @@ def _fofe_cross(rho, ax, az, b, branch: str) -> np.ndarray:
     """2 Re z(b') (real branch) or 2 Im z(b') (imaginary branch), with
     z(b') = <b'|T_a rho|b'> = i^|ax & az| (-1)^(az.(b' ^ ax))
     conj(rho[b', b' ^ ax]); the arguments broadcast."""
-    z = (_pauli_phase(ax, az) * _parity_signs(az & (b ^ ax))
+    z = (pauli_phase(ax, az) * _parity_signs(az & (b ^ ax))
          * np.conj(rho.entries(b, b ^ ax)))
     if branch == "real":
         return 2.0 * z.real
@@ -478,8 +456,8 @@ def _first_frame_table(position: np.ndarray, n: int) -> np.ndarray:
     return table.reshape(-1)
 
 
-def build_qwc_partition(coeffs: CoeffVector, ordering: str = "canonical",
-                        tol: float = 1e-12) -> QWCPartition:
+def build_qwc_partition(coeffs: CoeffVector,
+                        ordering: str = "canonical") -> QWCPartition:
     """Partition the nonzero Pauli coefficients into qubit-wise-commuting
     groups, one per single-qubit frame choice in {Z, X, Y}^n: frames are
     taken in order (canonical: lexicographic, qubit 1 first;
@@ -502,7 +480,7 @@ def build_qwc_partition(coeffs: CoeffVector, ordering: str = "canonical",
         raise ConfigError(f"unknown ordering {ordering!r}")
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
-    paulis = np.flatnonzero(np.abs(values) > tol)
+    paulis = np.flatnonzero(np.abs(values) > QWC_TOL)
     ax, az = paulis >> n, paulis & ((1 << n) - 1)
     pattern = np.zeros_like(paulis)
     for shift in range(n - 1, -1, -1):
@@ -639,9 +617,7 @@ def _is_flat_modulus(psi: StateVector) -> bool:
 
 def run_estimator(scheme: str, target: StateVector, rho, *, alpha: float = 0.5,
                   shots: int, seed: int = 0, mom_batches: int = 1,
-                  povm: str = "trajectory", coeff_cap: int = 10,
-                  ordering: str = "canonical",
-                  phase: PhaseFunction = None) -> EstimateReport:
+                  ordering: str = "canonical") -> EstimateReport:
     """Run `shots` single-shot estimates of <target|rho|target> with the
     requested scheme.  Every draw comes from one stream seeded by
     ``SeedSequence(seed)``, so the result is fixed by the seed alone."""
@@ -649,32 +625,26 @@ def run_estimator(scheme: str, target: StateVector, rho, *, alpha: float = 0.5,
         raise ConfigError("shots must be >= 1")
     if alpha not in (0.5, 1.0):
         raise ConfigError(f"alpha must be 1/2 or 1, got {alpha}")
-    if povm not in ("trajectory", "frame"):
-        raise ConfigError(f"unknown POVM path {povm!r}")
     exact = exact_fidelity(rho, target)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if scheme == "dfe":
-        coeffs = pauli_coefficients(target, cap=coeff_cap)
+        coeffs = pauli_coefficients(target)
         sampler = ExactSampler(coeffs, alpha)
         bound = float(sampler.norm_sum ** 2) if alpha == 0.5 else None
-        table = (_table_expectations(rho, target, coeffs)
-                 if povm == "trajectory" else None)
         values = _dfe_values(sampler, shots, rng,
-                             table or _expectations(rho, target.n, povm))
+                             _table_expectations(rho, target, coeffs)
+                             or _pauli_expectations(rho, target.n))
     elif scheme == "fofe":
         stripped, phi = phase_strip(target)
-        if phase is not None:
-            phi = phase
         if _is_flat_modulus(stripped):
             sampler = UniformXSampler(target.n, alpha)
         else:
-            sampler = ExactSampler(pauli_coefficients(stripped, cap=coeff_cap),
-                                   alpha)
+            sampler = ExactSampler(pauli_coefficients(stripped), alpha)
         branches = len(_branches([phi]))
         bound = branches * float(sampler.norm_sum ** 2) if alpha == 0.5 else None
         values = _fofe_values(rho, sampler, [phi], shots, rng)[0][0]
     elif scheme == "nldfe":
-        part = build_qwc_partition(pauli_coefficients(target, cap=coeff_cap),
+        part = build_qwc_partition(pauli_coefficients(target),
                                    ordering=ordering)
         bound = part.total_weight ** 2
         values = _nldfe_values(rho, part, shots, rng)

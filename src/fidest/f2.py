@@ -121,26 +121,14 @@ def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pauli action on amplitude vectors
-
-
-def _amplitudes(state) -> np.ndarray:
-    """Extract the amplitude array from a StateVector-like object or ndarray."""
-    amps = getattr(state, "amplitudes", state)
-    return np.asarray(amps)
+# Pauli action and expectations
 
 
 def apply_pauli(a: PauliPoint, psi):
-    """Apply T_a.  Accepts a raw amplitude array or a StateVector-like
-    object with an ``amplitudes`` attribute and returns the same kind."""
-    amps = _amplitudes(psi)
-    dim = 1 << a.n
-    if amps.shape != (dim,):
-        raise DimensionError(f"state has shape {amps.shape}, expected ({dim},)")
-    out = _apply_pauli_amps(a.n, a.ax, a.az, amps)
-    if amps is psi or not hasattr(psi, "amplitudes"):
-        return out
-    return type(psi)(a.n, out)
+    """T_a |psi> for a pure state psi, as a state of the same type."""
+    if psi.n != a.n:
+        raise DimensionError(f"state has {psi.n} qubits, point has {a.n}")
+    return type(psi)(a.n, _apply_pauli_amps(a.n, a.ax, a.az, psi.amplitudes))
 
 
 def _apply_pauli_amps(n: int, ax: int, az: int, amps: np.ndarray) -> np.ndarray:
@@ -152,36 +140,45 @@ def _apply_pauli_amps(n: int, ax: int, az: int, amps: np.ndarray) -> np.ndarray:
     return out
 
 
+def pauli_phase(ax, az) -> np.ndarray:
+    """i^|ax & az| of integer word arrays (broadcast)."""
+    return _POWERS_OF_I[popcount_array((ax & az).astype(np.uint64)) & 3]
+
+
+#: size of each block of XOR diagonals transformed at once
+CHUNK_BYTES = 1 << 20
+
+
+def pauli_expectation_rows(state, words) -> np.ndarray:
+    """<T_(ax, az)> of any state for each X-word ax in ``words`` (rows)
+    and every Z-word az (columns):
+
+        <T_a> = i^|ax & az| sum_x rho[x, x ^ ax] (-1)^(az.x),
+
+    one Walsh-Hadamard transform of the state's ``xor_diagonals`` per
+    word, in blocks of about CHUNK_BYTES.  The values are real for any
+    valid state; the largest imaginary residual is checked."""
+    words = np.asarray(words, dtype=np.int64)
+    dim = 1 << state.n
+    az = np.arange(dim)
+    out = np.empty((words.size, dim))
+    step = max(1, CHUNK_BYTES // (16 * dim))
+    worst = 0.0
+    for lo in range(0, words.size, step):
+        ax = words[lo:lo + step]
+        vals = pauli_phase(ax[:, None], az) * fwht(state.xor_diagonals(ax))
+        worst = max(worst, float(np.max(np.abs(vals.imag))))
+        out[lo:lo + ax.size] = vals.real
+    if worst > 1e-9:
+        raise NumericalHealthError(f"expectation has imaginary part {worst}")
+    return out
+
+
 def pauli_expectation(state, a: PauliPoint) -> float:
-    """<T_a> = i^|ax & az| sum_x rho[x, x ^ ax] (-1)^(az.x) for any state
-    (its ``xor_diagonals`` give rho[x, x ^ ax]) or a raw amplitude array.
-
-    The value is real for any valid state; the imaginary residual is
-    checked against a loose tolerance.
-    """
-    dim = 1 << a.n
-    if hasattr(state, "xor_diagonals"):
-        if state.n != a.n:
-            raise DimensionError(f"state has {state.n} qubits, point has {a.n}")
-        diag = state.xor_diagonals(np.array([a.ax]))[0]
-    else:
-        amps = np.asarray(state)
-        if amps.shape != (dim,):
-            raise DimensionError(f"state has shape {amps.shape}, expected ({dim},)")
-        norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > 1e-9:
-            raise NumericalHealthError(f"state norm^2 = {norm}, not normalized")
-        diag = amps * np.conj(amps[np.arange(dim) ^ a.ax])
-    idx = np.arange(dim, dtype=np.uint64)
-    signs = 1.0 - 2.0 * (popcount_array(idx & np.uint64(a.az)) & np.uint64(1)).astype(float)
-    phase = 1j ** ((a.ax & a.az).bit_count() & 3)
-    return _real_checked(phase * np.sum(diag * signs))
-
-
-def _real_checked(val: complex, tol: float = 1e-9) -> float:
-    if abs(val.imag) > tol:
-        raise NumericalHealthError(f"expectation has imaginary part {val.imag}")
-    return float(val.real)
+    """<T_a> of any state."""
+    if state.n != a.n:
+        raise DimensionError(f"state has {state.n} qubits, point has {a.n}")
+    return float(pauli_expectation_rows(state, [a.ax])[0, a.az])
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +210,15 @@ class CoeffVector:
         return np.nonzero(np.abs(self.values) > tol)[0]
 
 
-def pauli_coefficients(psi, cap: int = COEFF_CAP) -> CoeffVector:
-    """All 4^n Pauli coefficients of a pure state, via one Walsh-Hadamard
-    transform per X-word, batched about 1 MB at a time (total cost
-    O(n 8^n))."""
-    amps = _amplitudes(psi)
-    dim = amps.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 1 << n:
-        raise DimensionError(f"length {dim} is not a power of two")
-    if n > cap:
+def pauli_coefficients(psi) -> CoeffVector:
+    """All 4^n Pauli coefficients c(a) = 2^-n <T_a> of a state (total cost
+    O(n 8^n)), capped at n <= COEFF_CAP."""
+    n = psi.n
+    if n > COEFF_CAP:
         raise CapExceededError(
-            f"n={n} exceeds coefficient cap {cap} (would cost ~{8**n:.2e} flops)"
-        )
-    idx = np.arange(dim)
-    values = np.empty((dim, dim))
-    worst_imag = 0.0
-    step = max(1, (1 << 16) // dim)
-    for lo in range(0, dim, step):
-        ax = np.arange(lo, min(lo + step, dim))[:, None]
-        h = fwht(np.conj(amps[idx ^ ax]) * amps)  # h[az] = sum_x g(x) (-1)^(az.x)
-        w = popcount_array((idx & ax).astype(np.uint64)).astype(np.int64) & 3
-        vals = _POWERS_OF_I[w] * h
-        worst_imag = max(worst_imag, float(np.max(np.abs(vals.imag))))
-        values[lo:lo + ax.shape[0]] = vals.real / dim
-    if worst_imag > 1e-8:
-        raise NumericalHealthError(f"coefficients not real: residual {worst_imag}")
+            f"n={n} exceeds coefficient cap {COEFF_CAP} (would cost ~{8**n:.2e} flops)")
+    values = pauli_expectation_rows(psi, np.arange(1 << n))
+    values /= 1 << n
     return CoeffVector(n, values.reshape(-1))
 
 
@@ -246,13 +226,12 @@ def pauli_coefficients(psi, cap: int = COEFF_CAP) -> CoeffVector:
 # Fast Walsh-Hadamard transform
 
 
-def fwht(v: np.ndarray, direction: str = "forward") -> np.ndarray:
-    """Walsh-Hadamard transform along the last axis; forward computes
-    ``out[..., b] = sum_a v[..., a] (-1)^(a.b)`` with no normalization,
-    inverse divides by the length.  In place over a copy, O(n 2^n) per row."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    a = np.array(v, copy=True)
+def fwht(v: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis,
+    ``out[..., b] = sum_a v[..., a] (-1)^(a.b)`` with no normalization
+    (so fwht(fwht(v)) = len(v) v).  In place over a C-ordered copy (the
+    stages write through reshaped views), O(n 2^n) per row."""
+    a = np.array(v, copy=True, order="C")
     shape = a.shape
     size = shape[-1] if shape else 0
     if size & (size - 1) or size == 0:
@@ -274,10 +253,7 @@ def fwht(v: np.ndarray, direction: str = "forward") -> np.ndarray:
             x[:, 0] = top + x[:, 1]
             x[:, 1] = top - x[:, 1]
             h *= 2
-    a = a.reshape(shape)
-    if direction == "inverse":
-        a = a / size
-    return a
+    return a.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,8 @@ class DickeSampler:
         self._cum = np.cumsum(masses / self.norm_sum)
 
     def _class_of(self, a: PauliPoint):
-        p = a.ax.bit_count() if hasattr(a.ax, "bit_count") else bin(a.ax).count("1")
-        w1 = bin(a.az & a.ax).count("1")
-        w2 = bin(a.az & ~a.ax & ((1 << self.n) - 1)).count("1")
-        return p, w1, w2
+        return (a.ax.bit_count(), (a.az & a.ax).bit_count(),
+                (a.az & ~a.ax).bit_count())
 
     def coefficient(self, a: PauliPoint) -> float:
         return self._coeff.get(self._class_of(a), 0.0)
@@ -249,7 +247,7 @@ class BellCircuitSampler:
         x1 = np.arange(1 << n)
         # CNOTs: target register 2 becomes x2 ^ x1
         mat = mat[x1[:, None], x1[:, None] ^ np.arange(1 << n)[None, :]]
-        mat = fwht_rows(mat) / math.sqrt(1 << n)  # H^n on register 1
+        mat = fwht(mat.T).T / math.sqrt(1 << n)  # H^n on register 1
         self._probs = (mat**2).ravel()  # index b1 * 2^n + b2
         self._probs /= self._probs.sum()
         self._cum = np.cumsum(self._probs)
@@ -270,21 +268,6 @@ class BellCircuitSampler:
             b1, b2 = j >> self.n, j & ((1 << self.n) - 1)
             out[(b2 << self.n) | b1] += p
         return out
-
-
-def fwht_rows(mat: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along axis 0."""
-    out = mat.astype(float, copy=True)
-    h = 1
-    size = out.shape[0]
-    while h < size:
-        for start in range(0, size, 2 * h):
-            top = out[start:start + h].copy()
-            bot = out[start + h:start + 2 * h]
-            out[start:start + h] = top + bot
-            out[start + h:start + 2 * h] = top - bot
-        h *= 2
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """State construction and manipulation: phase/hypergraph/Dicke/Haar/MPS
-states, phase stripping, depolarizing noise, exact fidelity, and
-measurement simulation.
+states, phase stripping, depolarizing noise, exact fidelity, and Born
+laws in product measurement frames.
 
 All state types are immutable after construction.  The four of them
 (``StateVector``, ``DenseState``, ``TrajectoryMixture``, ``Depolarized``)
@@ -19,16 +19,13 @@ share one interface, so no other module branches on the type:
                         + u I/2^n, the form the shot engine samples from
   depolarized_from(psi) -- p when rho is (1-p)|psi><psi| + p I/2^n by
                         construction (0 for psi itself), else None
-
-Measurements take an explicit ``numpy.random.Generator``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +86,8 @@ class StateVector:
         return self.entries(*_xor_pairs(self.n, ax))
 
     def born_laws(self, frames) -> np.ndarray:
-        return np.abs(_rotate_rows(self.amplitudes, self.n, frames)) ** 2
+        rows = _rotate_leading(self.amplitudes, frame_codes(frames, self.n))
+        return np.abs(rows) ** 2
 
     def fidelity(self, psi: "StateVector") -> float:
         return float(abs(np.vdot(psi.amplitudes, self.amplitudes)) ** 2)
@@ -105,24 +103,22 @@ class StateVector:
 
 
 class PhaseFunction:
-    """A phase function phi: F2^n -> [0, 2pi), as a dense table, a Boolean
-    multilinear polynomial (monomials carry phase pi each), or a callback."""
+    """A phase function phi: F2^n -> [0, 2pi), as a dense table or a
+    Boolean multilinear polynomial (monomials carry phase pi each)."""
 
-    def __init__(self, n: int, *, table=None, monomials=None, func=None):
-        given = sum(x is not None for x in (table, monomials, func))
-        if given != 1:
-            raise ValueError("exactly one of table/monomials/func required")
+    def __init__(self, n: int, *, table=None, monomials=None):
+        if (table is None) == (monomials is None):
+            raise ValueError("exactly one of table/monomials required")
         self.n = n
         self._table = None
         self.monomials = None
-        self._func = None
         if table is not None:
             table = np.mod(np.asarray(table, dtype=float), 2 * np.pi)
             if table.shape != (1 << n,):
                 raise DimensionError(f"expected 2^{n} angles, got {table.shape}")
             table.flags.writeable = False
             self._table = table
-        elif monomials is not None:
+        else:
             canon = []
             for mono in monomials:
                 idxs = tuple(sorted(set(int(i) for i in mono)))
@@ -134,8 +130,6 @@ class PhaseFunction:
                     raise DimensionError(f"monomial {mono} outside qubits 1..{n}")
                 canon.append(idxs)
             self.monomials = tuple(sorted(canon))
-        else:
-            self._func = func
 
     @classmethod
     def from_table(cls, n: int, table) -> "PhaseFunction":
@@ -145,46 +139,27 @@ class PhaseFunction:
     def from_polynomial(cls, n: int, monomials) -> "PhaseFunction":
         return cls(n, monomials=monomials)
 
-    @classmethod
-    def from_callable(cls, n: int, func: Callable[[int], float]) -> "PhaseFunction":
-        return cls(n, func=func)
-
-    def evaluate(self, x: int) -> float:
-        if self._table is not None:
-            return float(self._table[x])
-        if self.monomials is not None:
-            parity = 0
-            for mono in self.monomials:
-                if all((x >> (self.n - i)) & 1 for i in mono):
-                    parity ^= 1
-            return np.pi * parity
-        return float(np.mod(self._func(x), 2 * np.pi))
-
     def table(self) -> np.ndarray:
         """Dense table of all 2^n angles (computed once and cached)."""
         if self._table is None:
-            if self.monomials is not None:
-                x = np.arange(1 << self.n, dtype=np.uint64)
-                parity = np.zeros(1 << self.n, dtype=np.uint64)
-                for mono in self.monomials:
-                    mask = np.uint64(sum(qubit_mask(i, self.n) for i in mono))
-                    parity ^= ((x & mask) == mask).astype(np.uint64)
-                table = np.pi * parity.astype(float)
-            else:
-                table = np.array([self.evaluate(x) for x in range(1 << self.n)])
-            table = np.mod(table, 2 * np.pi)
+            x = np.arange(1 << self.n, dtype=np.uint64)
+            parity = np.zeros(1 << self.n, dtype=np.uint64)
+            for mono in self.monomials:
+                mask = np.uint64(sum(qubit_mask(i, self.n) for i in mono))
+                parity ^= ((x & mask) == mask).astype(np.uint64)
+            table = np.mod(np.pi * parity.astype(float), 2 * np.pi)
             table.flags.writeable = False
             self._table = table
         return self._table
 
     def is_real(self, tol: float = 1e-12) -> bool:
-        """True when every phase lies in {0, pi}, i.e. e^(i phi) is real."""
+        """True when every phase lies within tol of 0, pi or 2pi, i.e.
+        e^(i phi) is real."""
         if self.monomials is not None:
             return True
         table = self.table()
-        return bool(np.all(np.minimum(np.abs(table), np.abs(table - np.pi)) <= tol)
-                    or np.all(np.minimum.reduce([np.abs(table), np.abs(table - np.pi),
-                                                 np.abs(table - 2 * np.pi)]) <= tol))
+        return bool(np.all(np.minimum.reduce([np.abs(table), np.abs(table - np.pi),
+                                              np.abs(table - 2 * np.pi)]) <= tol))
 
 
 @dataclass(frozen=True)
@@ -524,55 +499,3 @@ def _rotate_leading(amps: np.ndarray, codes: np.ndarray) -> np.ndarray:
         rows = np.stack([g[:, 0, 0] * low + g[:, 0, 1] * high,
                          g[:, 1, 0] * low + g[:, 1, 1] * high], axis=2)
     return rows.reshape(count, -1)
-
-
-def _rotate_rows(amps: np.ndarray, n: int, frames) -> np.ndarray:
-    """Amplitudes rotated into each frame: shape (len(frames), 2^n)."""
-    return _rotate_leading(np.asarray(amps, dtype=complex),
-                           frame_codes(frames, n))
-
-
-def rotate_to_frame(amps: np.ndarray, frame) -> np.ndarray:
-    """Rotate amplitudes so a computational measurement realizes the
-    requested per-qubit eigenbasis measurement."""
-    return _rotate_rows(amps, amps.shape[0].bit_length() - 1, [frame])[0]
-
-
-def born_probabilities(state, frame) -> np.ndarray:
-    """Exact computational-basis outcome distribution after frame rotation."""
-    probs = np.clip(state.born_laws([frame])[0], 0.0, None)
-    return probs / probs.sum()
-
-
-def measure_computational(state, frame, rng: np.random.Generator) -> int:
-    """One Born-rule outcome (an n-bit integer, qubit 1 = MSB) of measuring
-    the state in the given per-qubit frame."""
-    probs = born_probabilities(state, frame)
-    return int(rng.choice(probs.shape[0], p=probs))
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def state_to_dict(psi: StateVector) -> dict:
-    return {
-        "n": psi.n,
-        "re": psi.amplitudes.real.tolist(),
-        "im": psi.amplitudes.imag.tolist(),
-    }
-
-
-def state_from_dict(data: dict) -> StateVector:
-    amps = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
-    return StateVector(int(data["n"]), amps)
-
-
-def save_state(psi: StateVector, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(psi), fh)
-
-
-def load_state(path) -> StateVector:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fidest
 from fidest import cli, magic
@@ -85,9 +87,28 @@ class TestExitCodes:
         ("fig2a", "--n", "3", "--fidelity", "2"),
         ("mps-sample", "--chi", "0"),
         ("norms", "--family", "mps", "--chi", "0"),
+        ("haar-scan", "--nmin", "5", "--nmax", "3"),
+        ("hypergraph-bounds", "--nmin", "5", "--nmax", "4"),
+        ("nldfe-compare", "--nmin", "4", "--nmax", "3"),
+        ("norms", "--n", "2", "--out", "/nonexistent-fidest-dir/out.csv"),
     ], ids=" ".join)
     def test_bad_input(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--deterministic")
+        assert code == 2
+        assert "error" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("config", [
+        {"shots": "abc"},  # a string for an int
+        {"p": "high"},  # a string for a float
+        {"n": [3, 4]},  # a list
+        {"scheme": "zfe"},  # outside the choices
+    ], ids=json.dumps)
+    def test_bad_config_value(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg),
+                               "--deterministic")
         assert code == 2
         assert "error" in err
         assert "Traceback" not in err
@@ -159,9 +180,11 @@ class TestConfigPrecedence:
 
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json")
-        code, _, err = run_cli(capsys, "norms", "--config", str(cfg))
-        assert code == 2
+        for content in (b"not json", b"\xd0\xff binary"):
+            cfg.write_bytes(content)
+            code, _, err = run_cli(capsys, "norms", "--config", str(cfg))
+            assert code == 2
+            assert "Traceback" not in err
 
 
 class TestOutputFile:
@@ -267,3 +290,70 @@ class TestSubcommands:
         _, header, rows = parse_csv(out)
         schemes = {dict(zip(header, r))["scheme"] for r in rows}
         assert {"dfe", "fofe"} <= schemes
+
+
+# Small valid values of every flag, by subcommand.  The size flags (n,
+# samples, shots, ...) are always given, so that no run falls back to a
+# default workload; the others may be left out.
+_SIZE_FLAGS = {"--n", "--nmin", "--nmax", "--samples", "--shots",
+               "--dirichlet-samples", "--chi", "--shots-ladder"}
+_FAMILIES = ("phase-random", "hypergraph-random", "hypergraph-complete3",
+             "dicke", "haar", "mps")
+_SWITCH = st.just(None)  # a flag that takes no value
+_FLAGS = {
+    "fig2a": {"--n": st.integers(1, 4), "--fidelity": st.floats(0.0, 1.0),
+              "--shots": st.integers(1, 64)},
+    "haar-scan": {"--nmin": st.integers(1, 4), "--nmax": st.integers(1, 4),
+                  "--samples": st.integers(1, 3),
+                  "--dirichlet-samples": st.integers(1, 3)},
+    "nldfe-compare": {"--nmin": st.integers(1, 4), "--nmax": st.integers(1, 4),
+                      "--samples": st.integers(1, 3),
+                      "--shots": st.integers(1, 64),
+                      "--ordering": st.sampled_from(["canonical",
+                                                     "greedy-weight"])},
+    "hypergraph-bounds": {"--nmin": st.integers(1, 4),
+                          "--nmax": st.integers(1, 4),
+                          "--samples": st.integers(1, 3),
+                          "--shots": st.integers(1, 64)},
+    "run": {"--scheme": st.sampled_from(["dfe", "fofe", "nldfe"]),
+            "--family": st.sampled_from(_FAMILIES), "--n": st.integers(1, 4),
+            "--k": st.integers(0, 4), "--chi": st.integers(1, 3),
+            "--shots": st.integers(1, 64), "--alpha": st.sampled_from([0.5, 1.0]),
+            "--p": st.floats(0.0, 1.0), "--input-fidelity": st.floats(0.0, 1.0),
+            "--mom-batches": st.integers(1, 4)},
+    "tomography": {"--n": st.integers(1, 4),
+                   "--shots-ladder": st.lists(st.integers(0, 64), min_size=1,
+                                              max_size=3).map(
+                       lambda xs: ",".join(map(str, xs)))},
+    "mps-sample": {"--n": st.integers(1, 4), "--chi": st.integers(1, 3),
+                   "--samples": st.integers(1, 3), "--verify": _SWITCH},
+    "dicke": {"--n": st.integers(1, 4), "--k": st.integers(0, 2),
+              "--samples": st.integers(1, 3), "--verify": _SWITCH},
+    "norms": {"--family": st.sampled_from(_FAMILIES), "--n": st.integers(1, 4),
+              "--k": st.integers(0, 4), "--chi": st.integers(1, 3)},
+}
+_COMMON = {"--seed": st.integers(0, 2**32 - 1), "--workers": st.integers(1, 4),
+           "--format": st.sampled_from(["csv", "json"])}
+# out-of-range and wrong-type values, put in place of a valid one
+_BAD = st.sampled_from(["-1", "0", "-0.5", "1.5", "nan", "abc", "2.5", "",
+                        "[1]", "1e400", "11", "17"])
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_every_subcommand(capsys, command, data):
+    # every input ends in exit 0, 2, 3 or 4, with no traceback
+    flags = {**_FLAGS[command], **_COMMON}
+    given_flags = [f for f in flags if f in _SIZE_FLAGS
+                   or data.draw(st.booleans(), label=f"give {f}")]
+    bad = data.draw(st.sets(st.sampled_from(sorted(given_flags)), max_size=2),
+                    label="bad flags")
+    argv = [command, "--deterministic"]
+    for flag in given_flags:
+        value = data.draw(_BAD if flag in bad else flags[flag], label=flag)
+        argv += [flag] if value is None else [flag, str(value)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err

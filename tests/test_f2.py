@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidest import f2
-from fidest.errors import CapExceededError, DimensionError
+from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
 from fidest.states import StateVector, haar_random
 
 I2 = np.eye(2, dtype=complex)
@@ -119,6 +119,16 @@ class TestPauliExpectation:
             want = np.trace(rho @ dense_pauli(a)).real
             assert f2.pauli_expectation(psi, a) == pytest.approx(want, abs=1e-12)
 
+    def test_imaginary_residual_is_checked(self):
+        class Skewed:  # XOR diagonals of a matrix that is not Hermitian
+            n = 1
+
+            def xor_diagonals(self, ax):
+                return np.array([[0.5, 0.5 + 1e-6j]] * len(ax))
+
+        with pytest.raises(NumericalHealthError):
+            f2.pauli_expectation_rows(Skewed(), [1])
+
 
 class TestPauliCoefficients:
     def test_stabilizer_zero_state(self):
@@ -149,7 +159,7 @@ class TestPauliCoefficients:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             f2.pauli_coefficients(
-                StateVector(11, np.eye(1 << 11, dtype=complex)[0]), cap=10)
+                StateVector(11, np.eye(1 << 11, dtype=complex)[0]))
 
 
 class TestFWHT:
@@ -174,11 +184,18 @@ class TestFWHT:
         with pytest.raises(DimensionError):
             f2.fwht(np.zeros(6))
 
+    def test_transposed_input(self):
+        # the columns of a matrix, transformed through its transpose view
+        mat = np.random.default_rng(9).standard_normal((8, 5))
+        got = f2.fwht(mat.T).T
+        for col in range(5):
+            assert np.allclose(got[:, col], f2.fwht(mat[:, col]))
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 8), st.integers(0, 2**31 - 1))
     def test_roundtrip_property(self, n, seed):
         v = np.random.default_rng(seed).standard_normal(1 << n)
-        back = f2.fwht(f2.fwht(v), direction="inverse")
+        back = f2.fwht(f2.fwht(v)) / len(v)
         assert np.max(np.abs(back - v)) < 1e-12 * max(1.0, np.abs(v).max())
 
 
@@ -237,15 +254,12 @@ class TestDiagonalizingFrame:
         assert aprime == 0b10
 
     def test_parity_statistics_match_expectation(self):
-        from fidest.states import born_probabilities, rotate_to_frame
         rng = np.random.default_rng(9)
         for _ in range(10):
             a = random_point(2, rng)
             psi = haar_random(2, rng)
             labels, aprime = f2.diagonalizing_frame(a)
-            probs = born_probabilities(
-                StateVector(2, rotate_to_frame(psi.amplitudes, labels)),
-                ("Z", "Z"))
+            probs = psi.born_laws([labels])[0]
             parity_expect = sum(
                 p * (-1) ** (bin(aprime & b).count("1") & 1)
                 for b, p in enumerate(probs))

@@ -126,14 +126,25 @@ class TestHypergraphRank:
         assert magic.complete3_l1_exact(7) == pytest.approx(4.9921875)
 
     def test_sampled_bounds_are_ordered_and_bracket(self):
-        rng = np.random.default_rng(5)
-        n = 5
-        edges = states.complete_3_hypergraph_edges(n)
-        vb = magic.hypergraph_variance_bounds(n, edges, 400, rng)
+        # The sampled bracket estimates the closed-form one: each end lies
+        # within 4 standard errors of it, the errors of 400 samples taken
+        # from the exact rank law (rank 0 at x = 0, else rank 2h with
+        # probability r(n-1, h)); the lower end by the delta method.
+        n, samples = 5, 400
+        vb = magic.random3_sampled_bounds(n, samples, np.random.default_rng(5))
         assert vb.lower <= vb.upper
-        # The second moment is (E 2^(rank/2))^2, which Jensen places in
-        # [2^(E rank), E 2^rank]; 400 samples leave ~3.5 sigma of margin.
-        assert vb.lower <= magic.complete3_l1_exact(n) ** 2 <= vb.upper
+        closed = magic.random3_variance_bounds(n)
+        p0 = 2.0**-n
+        law = magic.hollow_rank_distribution(n - 1)
+        ranks = np.array([0] + [2 * h for h in law])
+        probs = np.array([p0] + [(1 - p0) * float(p) for p in law.values()])
+
+        def sd(v):
+            return math.sqrt(probs @ (v - probs @ v) ** 2)
+        se_lower = math.log(2) * closed.lower * sd(ranks) / math.sqrt(samples)
+        se_upper = sd(2.0**ranks) / math.sqrt(samples)
+        assert abs(vb.lower - closed.lower) <= 4 * se_lower
+        assert abs(vb.upper - closed.upper) <= 4 * se_upper
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_complete3_bounds_match_enumeration(self, n):
@@ -204,6 +215,17 @@ class TestIncompleteBeta:
 class TestHaarL1:
     def test_n1_exact(self):
         assert magic.haar_l1_mean_closed_form(1) == pytest.approx(1.25)
+
+    def test_log_matches_mpmath(self):
+        # 2^-n + (4^n - 1) Gamma(2^n) / (2^n Gamma(m)^2) 2^(1-2m) / m at
+        # 40 digits, m = 2^(n-1)
+        with mpmath.workdps(40):
+            for n in range(1, 17):
+                d, m = mpmath.mpf(2) ** n, mpmath.mpf(2) ** (n - 1)
+                want = 1 / d + ((4 ** mpmath.mpf(n) - 1) * mpmath.gamma(d)
+                                / (d * mpmath.gamma(m) ** 2) * 2 ** (1 - 2 * m) / m)
+                got = math.exp(magic.haar_l1_mean_log(n))
+                assert abs(got / want - 1) <= 1e-14, n
 
     def test_log_matches_closed_form(self):
         for n in range(1, 12):

@@ -152,16 +152,6 @@ class TestBellCircuitSampler:
         assert tv(emp, s.distribution()) < 0.06
 
 
-class TestFWHTRows:
-    def test_matches_per_row_transform(self):
-        from fidest.f2 import fwht
-        rng = np.random.default_rng(9)
-        mat = rng.standard_normal((8, 5))
-        got = samplers.fwht_rows(mat)
-        for col in range(5):
-            assert np.allclose(got[:, col], fwht(mat[:, col]))
-
-
 class TestMPSL2Sampler:
     @pytest.mark.parametrize("n,chi", [(3, 2), (4, 3), (5, 4)])
     def test_distribution_matches_dense(self, n, chi):
