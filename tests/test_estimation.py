@@ -20,6 +20,24 @@ def random_pure_pair(n, rng):
 
 
 class TestDFE:
+    @pytest.mark.parametrize("povm", ["trajectory", "frame"])
+    def test_expected_value_is_fidelity(self, povm):
+        # sum_a P(a) w(a) <T_a> = F with <T_a> from the engine (trajectory)
+        # or as the parity in the diagonalizing frame of T_a (frame)
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            target, rho = random_pure_pair(3, rng)
+            sampler = samplers.ExactSampler(pauli_coefficients(target), 0.5)
+            want = states.exact_fidelity(rho, target)
+            if povm == "trajectory":
+                got = estimation.dfe_expected_value(rho, sampler)
+            else:
+                dist = sampler.distribution()
+                labels = np.flatnonzero(dist)
+                t = estimation._frame_expectations(rho, labels, 3)
+                got = float(dist[labels] * estimation._weights(sampler, labels) @ t)
+            assert got == pytest.approx(want, abs=1e-9)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_frame_expectations_match_the_engine(self, n, seed):
