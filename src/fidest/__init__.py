@@ -1,24 +1,29 @@
 """Fidelity estimation via Pauli sampling.
 
 Modules:
-  f2          -- binary-symplectic Pauli algebra, FWHT, F2 linear algebra
+  f2          -- binary-symplectic Pauli algebra, the Pauli-expectation
+                 kernel, FWHT, F2 rank
   states      -- state construction, phase stripping, noise, Born laws
-  magic       -- l-norms, stabilizer Renyi entropies, variance bounds,
-                 hypergraph rank machinery, Haar/Dirichlet closed forms
+  magic       -- l-norms, stabilizer Renyi entropies, hypergraph rank
+                 brackets on the 1/2-DFE second moment, Haar closed forms,
+                 the Dirichlet stripped-l1 estimator
   samplers    -- l_2a phase-point samplers (exact, phase-state, Dicke,
                  Bell-circuit, MPS)
   estimation  -- alpha-DFE, fan-out FE, nonlinear DFE, aggregation
   tomography  -- MUB-based l2 state tomography
   cli         -- experiment runners (`fidest` entry point)
+
+The package namespace re-exports the errors, the Pauli algebra of ``f2``
+and the states of ``states``; the other modules are imported by name.
 """
 
 __version__ = "0.1.0"
 
 from .errors import (CapExceededError, ConfigError, DimensionError,
                      NumericalHealthError)
-from .f2 import (CoeffVector, F2Matrix, PauliPoint, apply_pauli,
-                 diagonalizing_frame, f2_rank, fwht, pauli_coefficients,
-                 pauli_expectation, symplectic_product)
+from .f2 import (CoeffVector, F2Matrix, PauliPoint, diagonalizing_frame,
+                 f2_rank, fwht, pauli_coefficients, pauli_expectation,
+                 symplectic_product)
 from .states import (DenseState, Depolarized, PhaseFunction, RealMPS,
                      StateVector, TrajectoryMixture, depolarize, dicke_state,
                      exact_fidelity, haar_random, hypergraph_state,
@@ -29,9 +34,9 @@ __all__ = [
     "__version__",
     "CapExceededError", "ConfigError", "DimensionError",
     "NumericalHealthError",
-    "CoeffVector", "F2Matrix", "PauliPoint", "apply_pauli",
-    "diagonalizing_frame", "f2_rank", "fwht", "pauli_coefficients",
-    "pauli_expectation", "symplectic_product",
+    "CoeffVector", "F2Matrix", "PauliPoint", "diagonalizing_frame",
+    "f2_rank", "fwht", "pauli_coefficients", "pauli_expectation",
+    "symplectic_product",
     "DenseState", "Depolarized", "PhaseFunction", "RealMPS", "StateVector",
     "TrajectoryMixture", "depolarize", "dicke_state", "exact_fidelity",
     "haar_random", "hypergraph_state", "mps_to_statevector", "phase_state",

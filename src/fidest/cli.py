@@ -96,6 +96,13 @@ def cmd_fig2a(args) -> ResultTable:
     return table
 
 
+def _mean_stderr(values) -> tuple:
+    """Sample mean and its standard error (0.0 for a single sample)."""
+    stderr = (float(np.std(values, ddof=1) / math.sqrt(len(values)))
+              if len(values) > 1 else 0.0)
+    return float(np.mean(values)), stderr
+
+
 def cmd_haar_scan(args) -> ResultTable:
     if args.nmax > 16:
         raise CapExceededError("haar-scan capped at n <= 16")
@@ -115,11 +122,9 @@ def cmd_haar_scan(args) -> ResultTable:
                 if n <= 6:
                     st, _ = states.phase_strip(psi)
                     sl1s.append(magic.norms(st, alphas=(0.5,)).l1)
-            l1_mean = float(np.mean(l1s))
-            l1_err = float(np.std(l1s, ddof=1) / math.sqrt(len(l1s)))
+            l1_mean, l1_err = _mean_stderr(l1s)
             if sl1s:
-                s_mean = float(np.mean(sl1s))
-                s_err = float(np.std(sl1s, ddof=1) / math.sqrt(len(sl1s)))
+                s_mean, s_err = _mean_stderr(sl1s)
                 method = "exact"
             else:
                 s_mean, s_err = magic.haar_stripped_l1_estimate(
@@ -544,6 +549,10 @@ def _validate(args) -> None:
         raise CapExceededError("dense coefficient work capped at n <= 10")
     if args.command == "fig2a" and args.n > 10:
         raise CapExceededError("fig2a capped at n <= 10")
+    if (args.command == "hypergraph-bounds"
+            and args.nmax > magic.SAMPLED_RANK_QUBIT_CAP):
+        raise CapExceededError("hypergraph-bounds capped at n <= "
+                               f"{magic.SAMPLED_RANK_QUBIT_CAP}")
 
 
 def main(argv=None) -> int:

@@ -15,8 +15,10 @@ so its matrix elements are
 T_a is Hermitian and T_a^2 = I.
 
 Qubit 1 is the *most significant* bit of every 2^n basis index and of the
-n-bit words ax, az.  :func:`qubit_bit` is the single helper enforcing this
-convention; no other code extracts per-qubit bits directly.
+n-bit words ax, az, so qubit i sits at bit n - i.  :func:`qubit_bit` and
+:func:`qubit_mask` apply this rule with bounds checks; the loops in
+``magic`` and ``samplers`` and the array code in ``estimation`` shift bits
+by the same rule directly.
 """
 
 from __future__ import annotations
@@ -96,21 +98,9 @@ class PauliPoint:
         return cls(n, (index >> n) & mask, index & mask)
 
     @property
-    def is_identity(self) -> bool:
-        return self.ax == 0 and self.az == 0
-
-    @property
     def weight(self) -> int:
         """Number of qubits on which T_a acts nontrivially."""
         return (self.ax | self.az).bit_count()
-
-    def label(self) -> str:
-        """Human-readable string such as ``XIZY`` (qubit 1 first)."""
-        chars = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-        return "".join(
-            chars[(qubit_bit(self.ax, i, self.n), qubit_bit(self.az, i, self.n))]
-            for i in range(1, self.n + 1)
-        )
 
 
 def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
@@ -124,14 +114,8 @@ def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
 # Pauli action and expectations
 
 
-def apply_pauli(a: PauliPoint, psi):
-    """T_a |psi> for a pure state psi, as a state of the same type."""
-    if psi.n != a.n:
-        raise DimensionError(f"state has {psi.n} qubits, point has {a.n}")
-    return type(psi)(a.n, _apply_pauli_amps(a.n, a.ax, a.az, psi.amplitudes))
-
-
 def _apply_pauli_amps(n: int, ax: int, az: int, amps: np.ndarray) -> np.ndarray:
+    """T_a applied to an amplitude array, a = (ax, az)."""
     idx = np.arange(1 << n, dtype=np.uint64)
     signs = 1.0 - 2.0 * (popcount_array(idx & np.uint64(az)) & np.uint64(1)).astype(float)
     phase = 1j ** ((ax & az).bit_count() & 3)
@@ -205,9 +189,6 @@ class CoeffVector:
 
     def value(self, a: PauliPoint) -> float:
         return float(self.values[a.index])
-
-    def nonzero_indices(self, tol: float = COEFF_TOL) -> np.ndarray:
-        return np.nonzero(np.abs(self.values) > tol)[0]
 
 
 def pauli_coefficients(psi) -> CoeffVector:
@@ -285,19 +266,6 @@ class F2Matrix:
                 for j in range(i):
                     if ((self.bits[i] >> j) & 1) != ((self.bits[j] >> i) & 1):
                         raise NumericalHealthError("hollow-symmetric flag on asymmetric matrix")
-
-    @classmethod
-    def from_dense(cls, array, hollow_symmetric: bool = False) -> "F2Matrix":
-        arr = np.asarray(array, dtype=np.int64) & 1
-        rows = tuple(int(sum(int(bit) << j for j, bit in enumerate(row))) for row in arr)
-        return cls(arr.shape[0], arr.shape[1], rows, hollow_symmetric)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.int64)
-        for i, row in enumerate(self.bits):
-            for j in range(self.cols):
-                out[i, j] = (row >> j) & 1
-        return out
 
 
 def f2_rank(m: F2Matrix) -> int:

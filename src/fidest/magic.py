@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionError
 from .f2 import COEFF_TOL, F2Matrix, f2_rank, pauli_coefficients
+from .states import PhaseFunction
 
 _LN2 = math.log(2.0)
 
@@ -73,34 +73,8 @@ def norms(psi, alphas: Iterable[float] = (0.0, 0.5, 1.0, 2.0)) -> NormReport:
     return NormReport(n=n, l0=count / (1 << n), l1=l1, l2=l2, sre=sre)
 
 
-def dfe_variance_bound(psi, alpha: float) -> float:
-    """Single-shot variance scale 2^(a*M_(1-a) + (1-a)*M_a) of alpha-DFE.
-
-    For alpha = 1/2 this equals the squared Pauli l1-norm; the bound is
-    minimal over alpha at 1/2.
-    """
-    if alpha not in (0.5, 1.0):
-        raise ValueError(f"alpha must be 1/2 or 1, got {alpha}")
-    rep = norms(psi, alphas=(alpha, 1.0 - alpha))
-    return float(2.0 ** (alpha * rep.sre[1.0 - alpha] + (1.0 - alpha) * rep.sre[alpha]))
-
-
 # ---------------------------------------------------------------------------
 # Hypergraph rank machinery
-
-
-def _validate_degree3(n: int, monomials) -> list[tuple[int, ...]]:
-    canon = []
-    for mono in monomials:
-        idxs = tuple(sorted(set(int(i) for i in mono)))
-        if len(idxs) != len(tuple(mono)) or not idxs:
-            raise ValueError(f"malformed monomial {mono}")
-        if idxs[0] < 1 or idxs[-1] > n:
-            raise DimensionError(f"monomial {mono} outside qubits 1..{n}")
-        if len(idxs) > 3:
-            raise ValueError(f"monomial {mono} has degree > 3")
-        canon.append(idxs)
-    return canon
 
 
 def hypergraph_derivative_matrix(n: int, monomials, x: int) -> F2Matrix:
@@ -111,9 +85,10 @@ def hypergraph_derivative_matrix(n: int, monomials, x: int) -> F2Matrix:
     monomials contribute nothing to the bilinear form.  Always hollow
     symmetric.
     """
-    canon = _validate_degree3(n, monomials)
     rows = [0] * n
-    for mono in canon:
+    for mono in PhaseFunction.from_polynomial(n, monomials).monomials:
+        if len(mono) > 3:
+            raise ValueError(f"monomial {mono} has degree > 3")
         if len(mono) != 3:
             continue
         i, m, k = mono
@@ -123,6 +98,11 @@ def hypergraph_derivative_matrix(n: int, monomials, x: int) -> F2Matrix:
                 rows[b - 1] ^= 1 << (c - 1)
                 rows[c - 1] ^= 1 << (b - 1)
     return F2Matrix(rows=n, cols=n, bits=tuple(rows), hollow_symmetric=True)
+
+
+#: largest n of random3_sampled_bounds that the CLI runs: each sample
+#: costs O(n^3) Python work, so the default 2000 samples stay at seconds
+SAMPLED_RANK_QUBIT_CAP = 20
 
 
 def random3_sampled_bounds(n: int, samples: int,
@@ -282,10 +262,6 @@ def haar_l1_mean_closed_form(n: int) -> float:
     return math.exp(haar_l1_mean_log(n))
 
 
-def haar_l1_asymptote(n: int) -> float:
-    return math.sqrt(2.0 ** (n + 1) / math.pi)
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet estimator for the phase-stripped l1-norm
 
@@ -331,11 +307,3 @@ def haar_stripped_l1_estimate(n: int, samples: int, rng: np.random.Generator):
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     return mean, stderr
-
-
-def dirichlet_sqrt_pair_moment(n: int) -> float:
-    """E[sqrt(p_i p_j)] for distinct entries of Dirichlet(1,...,1) on 2^n
-    cells: Gamma(2^n) Gamma(3/2)^2 / Gamma(2^n + 1)."""
-    d = 2.0**n
-    return math.exp(math.lgamma(d) + 2.0 * math.lgamma(1.5)
-                    - math.lgamma(d + 1.0))

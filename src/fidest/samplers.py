@@ -3,15 +3,22 @@ distribution |c(a)|^(2a) / sum_b |c(b)|^(2a) of a target state, with
 structure-exploiting fast paths for phase states, Dicke states, Bell
 sampling of real states, and real matrix-product states.
 
-Every sampler exposes:
-  n, alpha       -- system size and the sampling exponent
-  norm_sum       -- sum_b |c(b)|^(2 alpha) (the estimator weight scale)
-  draw(rng)      -- one PauliPoint with nonzero coefficient
-  coefficient(a) -- the signed coefficient c(a) of the target
-and, where enumeration is feasible, distribution() -> dense 4^n vector.
-The two samplers the estimators draw from (exact and uniform-X) also give
-draw_indices(rng, size), flat indices (ax << n) | az drawn at once, and
-coefficients(indices), their c(a).
+Every sampler has
+  n, alpha        -- system size and the sampling exponent
+  norm_sum        -- sum_b |c(b)|^(2 alpha) (the estimator weight scale)
+  draw(rng)       -- one PauliPoint with nonzero coefficient
+  distribution()  -- the law as a dense 4^n vector (Dicke: n <= 12,
+                     MPS: n <= 6)
+and some have more:
+  ExactSampler, UniformXSampler -- the two the estimators draw from:
+                     draw_indices(rng, size), flat indices (ax << n) | az
+                     drawn at once; coefficients(indices), their c(a);
+                     and coefficient(a) for one point
+  DickeSampler     -- coefficient(a)
+  MPSL2Sampler     -- coefficient(a), expectation(a) = <T_a>, and
+                     point_probability(a)
+  BellCircuitSampler has no more: the two-copy circuit yields points, not
+  their coefficients.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
-from .f2 import COEFF_TOL, CoeffVector, PauliPoint, fwht, pauli_expectation
+from .f2 import COEFF_TOL, CoeffVector, PauliPoint, fwht
 from .states import RealMPS, StateVector
 
 BELL_TOTAL_QUBIT_CAP = 24
@@ -61,8 +68,6 @@ class CdfTable:
 class ExactSampler:
     """Cumulative-table sampler over the dense coefficient vector."""
 
-    strategy = "exact-enumeration"
-
     def __init__(self, coeffs: CoeffVector, alpha: float):
         self.n = coeffs.n
         self.alpha = float(alpha)
@@ -98,8 +103,6 @@ class ExactSampler:
 class UniformXSampler:
     """l_2a sampler for phase states: uniform over the 2^n X-type points,
     every coefficient exactly +2^-n."""
-
-    strategy = "uniform-X"
 
     def __init__(self, n: int, alpha: float = 0.5):
         self.n = n
@@ -176,7 +179,6 @@ class DickeSampler:
     """l1-sampler for Dicke states Dic(n, k) with k <= n/2, via the
     (p, w1, w2) class table; per-draw cost polynomial in n and k."""
 
-    strategy = "dicke"
     alpha = 0.5
 
     def __init__(self, n: int, k: int):
@@ -230,7 +232,6 @@ class BellCircuitSampler:
     register 1, then a full computational measurement (b1, b2) emits
     a = (a_x, a_z) = (b2, b1) with probability <T_a>^2 / 2^n."""
 
-    strategy = "bell-circuit"
     alpha = 1.0
 
     def __init__(self, stripped: StateVector):
@@ -239,9 +240,7 @@ class BellCircuitSampler:
                 f"Bell sampling capped at 2n <= {BELL_TOTAL_QUBIT_CAP}")
         if np.max(np.abs(stripped.amplitudes.imag)) > 1e-12:
             raise NumericalHealthError("Bell sampler requires a real state")
-        self.n = stripped.n
-        self._psi = stripped
-        n = stripped.n
+        self.n = n = stripped.n
         amps = stripped.amplitudes.real
         mat = np.outer(amps, amps)  # mat[x1, x2]
         x1 = np.arange(1 << n)
@@ -259,9 +258,6 @@ class BellCircuitSampler:
         b1, b2 = j >> self.n, j & ((1 << self.n) - 1)
         return PauliPoint(self.n, ax=b2, az=b1)
 
-    def coefficient(self, a: PauliPoint) -> float:
-        return float(pauli_expectation(self._psi, a)) / (1 << self.n)
-
     def distribution(self) -> np.ndarray:
         out = np.zeros(1 << (2 * self.n))
         for j, p in enumerate(self._probs):
@@ -278,7 +274,6 @@ class MPSL2Sampler:
     """Sequential conditional l2-sampler for real MPS, O(n^2 chi^6) per
     draw with O(chi^4) memory for the precomputed right environments."""
 
-    strategy = "mps-marginal"
     alpha = 1.0
     DRIFT_TOL = 1e-6
 

@@ -312,13 +312,6 @@ def phase_state(phi: PhaseFunction) -> StateVector:
     return StateVector(n, amps)
 
 
-def apply_phase(phi: PhaseFunction, psi: StateVector) -> StateVector:
-    """Apply the diagonal gate D(phi)."""
-    if phi.n != psi.n:
-        raise DimensionError("phase function and state differ in qubit count")
-    return StateVector(psi.n, np.exp(1j * phi.table()) * psi.amplitudes)
-
-
 def hypergraph_state(n: int, hyperedges: Sequence[Sequence[int]]):
     """prod_A C_A Z |+>^n and its {0, pi} Boolean-polynomial phase.
 
@@ -386,8 +379,8 @@ def exact_fidelity(rho, psi: StateVector) -> float:
 @dataclass(frozen=True)
 class RealMPS:
     """Real MPS: per-site chi x chi tensors gammas[i, x] with boundary
-    row vector ``left`` and column vector ``right``; amplitude(x) =
-    left . gamma[1](x_1) ... gamma[n](x_n) . right."""
+    row vector ``left`` and column vector ``right``; the amplitude of x
+    is left . gamma[1](x_1) ... gamma[n](x_n) . right."""
 
     n: int
     chi: int
@@ -408,12 +401,6 @@ class RealMPS:
         object.__setattr__(self, "gammas", gam)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def amplitude(self, x: int) -> float:
-        vec = self.left
-        for i in range(self.n):
-            vec = vec @ self.gammas[i, (x >> (self.n - 1 - i)) & 1]
-        return float(vec @ self.right)
 
     def norm_squared(self) -> float:
         env = np.outer(self.left, self.left).reshape(-1)
@@ -467,12 +454,6 @@ def frame_codes(frames, n: int) -> np.ndarray:
             raise ValueError(f"frame labels must be Z/X/Y, got {labels}")
         codes.append([_FRAME_LABELS.index(lab) for lab in labels])
     return np.array(codes, dtype=np.int64).reshape(len(codes), n)
-
-
-def apply_single_qubit(amps: np.ndarray, n: int, i: int, gate: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate to 1-based qubit i of an amplitude array."""
-    shaped = amps.reshape((1 << (i - 1), 2, 1 << (n - i)))
-    return np.einsum("st,atb->asb", gate, shaped).reshape(amps.shape)
 
 
 def _kron_gates(codes: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
 from .f2 import PauliPoint, symplectic_product
-from .states import DenseState, StateVector, phase_strip
+from .states import DenseState
 
 MUB_QUBIT_CAP = 4
 
@@ -245,10 +245,6 @@ def psd_project(h: np.ndarray) -> DenseState:
     return DenseState(n, (vecs * pvals[None, :]) @ vecs.conj().T)
 
 
-def l2_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
-
-
 def tomography_pipeline(rho, n: int, shots: int, seed: int = 0):
     """Full chain mub -> estimate -> project -> reconstruct -> psd_project.
     Returns (DenseState estimate, l2 error against the known input)."""
@@ -256,29 +252,5 @@ def tomography_pipeline(rho, n: int, shots: int, seed: int = 0):
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = estimate_coefficients(rho, fam, shots, rng)
     est = psd_project(reconstruct(table, fam))
-    return est, l2_distance(est.matrix, rho.to_dense().matrix)
+    return est, float(np.linalg.norm(est.matrix - rho.to_dense().matrix))
 
-
-def estimate_phase_basis_fofe(rho, fam: MUBFamily, basis_index: int,
-                              shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Integration demo: estimate one non-computational basis row with the
-    fan-out estimator.  Every element of a non-Z MUB basis is unbiased to
-    the computational basis, hence a phase state; all 2^n fidelities are
-    post-processed from one shared outcome stream."""
-    from .estimation import fofe_multi_target
-    from .samplers import UniformXSampler
-    if basis_index == 0:
-        raise DimensionError("row 0 is the computational basis; use direct "
-                             "measurement")
-    b = fam.bases[basis_index]
-    phases = []
-    stripped = None
-    for j in range(b.vectors.shape[1]):
-        vec = StateVector(fam.n, b.vectors[:, j])
-        st, phi = phase_strip(vec)
-        phases.append(phi)
-        stripped = st
-    sampler = UniformXSampler(fam.n, 0.5)
-    result = fofe_multi_target(rho, sampler, phases, shots, rng,
-                               stripped=stripped)
-    return np.array([r.mean for r in result.reports])

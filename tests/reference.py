@@ -1,0 +1,59 @@
+"""Test-input builders and reference formulas that `fidest` itself never
+needs: gates applied to amplitude arrays, an MPS amplitude read by direct
+contraction, dense <-> packed F2 matrices, and two closed forms the Haar
+and Dirichlet tests compare against."""
+
+import math
+
+import numpy as np
+
+from fidest.f2 import F2Matrix
+from fidest.states import PhaseFunction, RealMPS, StateVector
+
+
+def apply_phase(phi: PhaseFunction, psi: StateVector) -> StateVector:
+    """D(phi)|psi>, the diagonal phase gate applied to a pure state."""
+    return StateVector(psi.n, np.exp(1j * phi.table()) * psi.amplitudes)
+
+
+def apply_single_qubit(amps: np.ndarray, n: int, i: int, gate: np.ndarray) -> np.ndarray:
+    """A 2x2 gate applied to 1-based qubit i of an amplitude array."""
+    shaped = amps.reshape((1 << (i - 1), 2, 1 << (n - i)))
+    return np.einsum("st,atb->asb", gate, shaped).reshape(amps.shape)
+
+
+def mps_amplitude(mps: RealMPS, x: int) -> float:
+    """left . gamma[1](x_1) ... gamma[n](x_n) . right, qubit 1 = MSB of x."""
+    vec = mps.left
+    for i in range(mps.n):
+        vec = vec @ mps.gammas[i, (x >> (mps.n - 1 - i)) & 1]
+    return float(vec @ mps.right)
+
+
+def f2_from_dense(array, hollow_symmetric: bool = False) -> F2Matrix:
+    """Packed F2Matrix of a 0/1 array (bit j of row i is entry (i, j))."""
+    arr = np.asarray(array, dtype=np.int64) & 1
+    rows = tuple(int(sum(int(bit) << j for j, bit in enumerate(row))) for row in arr)
+    return F2Matrix(arr.shape[0], arr.shape[1], rows, hollow_symmetric)
+
+
+def f2_to_dense(m: F2Matrix) -> np.ndarray:
+    """The 0/1 array of a packed F2Matrix."""
+    out = np.zeros((m.rows, m.cols), dtype=np.int64)
+    for i, row in enumerate(m.bits):
+        for j in range(m.cols):
+            out[i, j] = (row >> j) & 1
+    return out
+
+
+def haar_l1_asymptote(n: int) -> float:
+    """Large-n limit sqrt(2^(n+1)/pi) of the Haar-average Pauli l1-norm."""
+    return math.sqrt(2.0 ** (n + 1) / math.pi)
+
+
+def dirichlet_sqrt_pair_moment(n: int) -> float:
+    """E[sqrt(p_i p_j)] for distinct entries of Dirichlet(1,...,1) on 2^n
+    cells: Gamma(2^n) Gamma(3/2)^2 / Gamma(2^n + 1)."""
+    d = 2.0**n
+    return math.exp(math.lgamma(d) + 2.0 * math.lgamma(1.5)
+                    - math.lgamma(d + 1.0))

@@ -13,6 +13,7 @@ from scipy.special import betaln
 from fidest import estimation, magic, samplers, states, tomography
 from fidest.f2 import PauliPoint, pauli_coefficients
 from incomplete_beta import incomplete_beta_log
+from reference import apply_single_qubit
 
 
 def _report(name, ok, detail=""):
@@ -185,9 +186,9 @@ def _random_real_stabilizer(n, rng):
     for _ in range(4 * n):
         g = rng.integers(0, 3)
         if g == 0:
-            amps = states.apply_single_qubit(amps, n, int(rng.integers(1, n + 1)), H)
+            amps = apply_single_qubit(amps, n, int(rng.integers(1, n + 1)), H)
         elif g == 1:
-            amps = states.apply_single_qubit(amps, n, int(rng.integers(1, n + 1)), X)
+            amps = apply_single_qubit(amps, n, int(rng.integers(1, n + 1)), X)
         else:
             c, t = rng.choice(n, size=2, replace=False) + 1
             cm, tm = 1 << (n - int(c)), 1 << (n - int(t))
@@ -364,7 +365,7 @@ def test_criterion_9_multi_target():
         phases.append(states.PhaseFunction.from_polynomial(n, keep))
     plus = states.StateVector(n, np.full(1 << n, 2.0 ** (-n / 2),
                                          dtype=complex))
-    rho = states.depolarize(states.apply_phase(phases[0], plus), 0.15)
+    rho = states.depolarize(states.phase_state(phases[0]), 0.15)
     res = estimation.fofe_multi_target(
         rho, samplers.UniformXSampler(n, 0.5), phases, shots, rng,
         stripped=plus)

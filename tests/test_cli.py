@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -281,6 +282,36 @@ class TestSubcommands:
         assert float(d["closed_lower"]) == closed.lower
         assert float(d["closed_upper"]) == closed.upper
         assert float(d["closed_lower"]) <= float(d["closed_upper"])
+
+    def test_haar_scan_one_sample(self, capsys):
+        # one sample has no spread: stderr 0.0, not nan, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "haar-scan", "--nmin", "2",
+                                     "--nmax", "2", "--samples", "1",
+                                     "--deterministic")
+        assert code == 0
+        assert err == ""
+        _, header, rows = parse_csv(out)
+        d = dict(zip(header, rows[0]))
+        assert d["l1_stderr"] == d["stripped_stderr"] == "0.0"
+
+    @pytest.mark.parametrize("n", [magic.SAMPLED_RANK_QUBIT_CAP + 1, 64])
+    def test_hypergraph_bounds_cap(self, capsys, n):
+        code, _, err = run_cli(capsys, "hypergraph-bounds", "--nmin", str(n),
+                               "--nmax", str(n), "--samples", "1", "--shots",
+                               "1", "--deterministic")
+        assert code == 3
+        assert "Traceback" not in err
+
+    def test_hypergraph_bounds_at_cap(self, capsys):
+        n = str(magic.SAMPLED_RANK_QUBIT_CAP)
+        code, out, _ = run_cli(capsys, "hypergraph-bounds", "--nmin", n,
+                               "--nmax", n, "--samples", "5",
+                               "--deterministic")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert rows[0][0] == n
 
     def test_fig2a_smoke(self, capsys):
         # tiny configuration; the full-size run is in the acceptance suite

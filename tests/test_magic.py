@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidest import magic, states
+from fidest.errors import DimensionError
 from fidest.f2 import f2_rank, pauli_coefficients
 from incomplete_beta import incomplete_beta, incomplete_beta_log
+from reference import (dirichlet_sqrt_pair_moment, f2_from_dense, f2_to_dense,
+                       haar_l1_asymptote)
 
 
 class TestNorms:
@@ -39,11 +42,6 @@ class TestNorms:
         for _ in range(10):
             rep = magic.norms(states.haar_random(2, rng))
             assert rep.l1 >= 1.0 - 1e-12
-
-    def test_dfe_variance_bound_half(self):
-        psi = states.haar_random(2, np.random.default_rng(2))
-        want = magic.norms(psi).l1 ** 2
-        assert magic.dfe_variance_bound(psi, 0.5) == pytest.approx(want)
 
 
 def naive_derivative_matrix(n, monomials, x):
@@ -75,7 +73,7 @@ class TestHypergraphRank:
         monos = [(1, 2, 3), (2, 4, 5), (1, 3, 5)]
         for _ in range(10):
             x = int(rng.integers(0, 1 << n))
-            got = magic.hypergraph_derivative_matrix(n, monos, x).to_dense()
+            got = f2_to_dense(magic.hypergraph_derivative_matrix(n, monos, x))
             assert np.array_equal(got, naive_derivative_matrix(n, monos, x))
 
     def test_quadratic_terms_do_not_contribute(self):
@@ -85,9 +83,17 @@ class TestHypergraphRank:
         cubic = [(1, 2, 3)]
         mixed = [(1, 2, 3), (1, 4), (2, 3)]
         for x in range(1 << n):
-            a = magic.hypergraph_derivative_matrix(n, cubic, x).to_dense()
-            b = magic.hypergraph_derivative_matrix(n, mixed, x).to_dense()
+            a = f2_to_dense(magic.hypergraph_derivative_matrix(n, cubic, x))
+            b = f2_to_dense(magic.hypergraph_derivative_matrix(n, mixed, x))
             assert np.array_equal(a, b)
+
+    def test_rejects_bad_monomials(self):
+        with pytest.raises(ValueError):
+            magic.hypergraph_derivative_matrix(4, [(1, 2, 3, 4)], 0b1111)
+        with pytest.raises(ValueError):
+            magic.hypergraph_derivative_matrix(4, [(1, 1, 2)], 0b1111)
+        with pytest.raises(DimensionError):
+            magic.hypergraph_derivative_matrix(4, [(1, 2, 5)], 0b1111)
 
     def test_complete3_rank_closed_form(self):
         for n in (3, 4, 5, 6):
@@ -182,12 +188,11 @@ class TestHollowRankCounts:
 
     def test_small_exhaustive(self):
         # n = 3: enumerate all hollow-symmetric matrices directly.
-        from fidest.f2 import F2Matrix
         counts = {}
         for bits in range(8):
             e12, e13, e23 = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
             dense = np.array([[0, e12, e13], [e12, 0, e23], [e13, e23, 0]])
-            r = f2_rank(F2Matrix.from_dense(dense))
+            r = f2_rank(f2_from_dense(dense))
             counts[r] = counts.get(r, 0) + 1
         for r in range(4):
             assert magic.hollow_symmetric_rank_count(3, r) == counts.get(r, 0)
@@ -242,7 +247,7 @@ class TestHaarL1:
         assert abs(mean - magic.haar_l1_mean_closed_form(n)) < 4 * se
 
     def test_asymptote_ratio_tends_to_one(self):
-        ratios = [math.exp(magic.haar_l1_mean_log(n)) / magic.haar_l1_asymptote(n)
+        ratios = [math.exp(magic.haar_l1_mean_log(n)) / haar_l1_asymptote(n)
                   for n in (6, 10, 14)]
         assert ratios[0] < ratios[1] < ratios[2] < 1.0
         assert ratios[2] == pytest.approx(1.0, abs=0.01)
@@ -256,7 +261,7 @@ class TestStrippedL1:
         e = rng.standard_exponential((20000, d))
         p = e / e.sum(axis=1, keepdims=True)
         emp = np.sqrt(p[:, 0] * p[:, 1]).mean()
-        assert magic.dirichlet_sqrt_pair_moment(4) == pytest.approx(
+        assert dirichlet_sqrt_pair_moment(4) == pytest.approx(
             emp, rel=0.02)
 
     def test_estimator_matches_direct_stripping(self):

@@ -1,0 +1,84 @@
+"""Tooling check on the size of the library: every top-level function,
+class and method in `src/fidest` must be referenced by other `src` code,
+so that no surface lives on for its own tests only.
+
+A definition counts as referenced when its name appears as a name or an
+attribute anywhere in `src/fidest` outside its own body; imports and
+`__all__` entries do not count.  Dunder methods are called implicitly and
+are skipped.  The names in ALLOWED have no `src` caller on purpose.  What
+the tests and the benchmark tracer read that does have one (the
+`*_value_law` oracles, every sampler's `draw` and `distribution`) passes
+the check without an entry.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "fidest"
+
+#: module.name -> why it stays with no src caller
+ALLOWED = {
+    "estimation._frame_expectations":
+        "test oracle: <T_a> as the parity of a diagonalizing-frame measurement",
+    "estimation.dfe_expected_value": "test oracle: exact DFE shot mean",
+    "estimation.fofe_expected_value": "test oracle: exact FOFE shot mean",
+    "estimation.nldfe_expected_value": "test oracle: exact NLDFE shot mean",
+    "estimation.fofe_branch_amplitudes":
+        "test oracle: the Hadamard-test circuit behind the FOFE laws",
+    "estimation.fofe_outcome_distribution":
+        "test oracle: one FOFE branch law; the benchmark tracer wraps it",
+    "estimation.fofe_multi_target":
+        "multi-target FOFE from one outcome stream (acceptance criterion 9)",
+    "f2.pauli_expectation":
+        "one-point form of the expectation kernel; the benchmark tracer wraps it",
+    "magic.complete3_l1_exact":
+        "exact complete-3-hypergraph l1, to be reported by fig2a",
+    "magic.complete3_variance_bounds":
+        "closed-form complete-3-hypergraph DFE bracket, to be reported by fig2a",
+    "samplers.BellCircuitSampler":
+        "two-copy Bell sampling of real states (acceptance criterion 4)",
+}
+
+
+def _scan():
+    """Each definition as (module.qualname, node), and every referenced
+    identifier with the nodes that reference it."""
+    defs, refs = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{path.stem}.{node.name}.{sub.name}", sub)
+                         for sub in node.body if isinstance(sub, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+    return defs, refs
+
+
+def _unreferenced():
+    defs, refs = _scan()
+    out = []
+    for qualname, node in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        own = {id(sub) for sub in ast.walk(node)}
+        if all(id(ref) in own for ref in refs.get(name, [])):
+            out.append(qualname)
+    return out
+
+
+def test_every_definition_has_a_src_reference():
+    dead = [name for name in _unreferenced() if name not in ALLOWED]
+    assert not dead, f"defined in src/fidest but referenced by no src code: {dead}"
+
+
+def test_allowlist_holds_only_unreferenced_definitions():
+    # an entry that gains a src caller, or is deleted, leaves the list
+    stale = sorted(set(ALLOWED) - set(_unreferenced()))
+    assert not stale, f"ALLOWED entries that are referenced or gone: {stale}"

@@ -216,14 +216,3 @@ class TestPipeline:
         assert np.array_equal(e1[0].matrix, e2[0].matrix)
         assert e1[1] == e2[1]
 
-
-class TestPhaseBasisFOFE:
-    def test_row_estimate_close_to_exact(self):
-        n = 2
-        fam = tomography.mub_family(n)
-        rng = np.random.default_rng(11)
-        psi = states.haar_random(n, rng)
-        rho = states.depolarize(psi, 0.25)
-        row = tomography.estimate_phase_basis_fofe(rho, fam, 1, 6000, rng)
-        exact = tomography.exact_rows(rho, fam)[1]
-        assert np.max(np.abs(row - exact)) < 0.12
