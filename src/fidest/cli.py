@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, estimation, magic, samplers, states, tomography
 from .errors import CapExceededError, ConfigError, NumericalHealthError
-from .f2 import pauli_coefficients
+from .f2 import pauli_coefficients, popcount_array
 
 
 @dataclass
@@ -265,7 +265,8 @@ def cmd_mps_sample(args) -> ResultTable:
     table = ResultTable(
         columns=["n", "chi", "samples", "mean_weight", "tv_distance"],
         metadata={"config": _config_echo(args, ("n", "chi", "samples"))})
-    weights = [sampler.draw(rng).weight for _ in range(args.samples)]
+    ax, az = sampler.draw(rng, args.samples)
+    weights = popcount_array((ax | az).astype(np.uint64))
     tv = ""
     if args.verify:
         if args.n > 6:
@@ -282,7 +283,7 @@ def cmd_mps_sample(args) -> ResultTable:
 def cmd_dicke(args) -> ResultTable:
     sampler = samplers.DickeSampler(args.n, args.k)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    draws = [sampler.draw(rng) for _ in range(args.samples)]
+    ax, _ = sampler.draw(rng, args.samples)
     table = ResultTable(
         columns=["n", "k", "samples", "l1_norm", "mean_ax_weight",
                  "tv_distance"],
@@ -295,7 +296,7 @@ def cmd_dicke(args) -> ResultTable:
             pauli_coefficients(states.dicke_state(args.n, args.k)), 0.5)
         tv = repr(float(0.5 * np.abs(sampler.distribution()
                                      - exact.distribution()).sum()))
-    mean_w = float(np.mean([bin(a.ax).count("1") for a in draws]))
+    mean_w = float(np.mean(popcount_array(ax.astype(np.uint64))))
     table.add(args.n, args.k, args.samples, repr(sampler.norm_sum),
               repr(mean_w), tv)
     return table
@@ -536,6 +537,9 @@ def _validate(args) -> None:
     if args.command == "dicke" and not 0 <= args.k <= n // 2:
         raise ConfigError(f"the Dicke sampler needs 0 <= --k <= n/2 = {n // 2}, "
                           f"got {args.k}")
+    if args.command == "dicke" and n > samplers.DICKE_QUBIT_CAP:
+        raise CapExceededError(
+            f"dicke capped at n <= {samplers.DICKE_QUBIT_CAP} (int64 words)")
     if (family == "mps" or args.command == "mps-sample") and args.chi < 1:
         raise ConfigError(f"--chi must be >= 1, got {args.chi}")
     if args.command == "tomography":

@@ -5,8 +5,9 @@ qubit-wise-commuting measurement groups, plus aggregation helpers.
 
 All three run on one batched shot engine:
 
-1. draw every shot's label at once (a Pauli point for DFE and FOFE, a QWC
-   group for NLDFE);
+1. draw every shot's label at once (for DFE and FOFE a Pauli point, carried
+   as a word pair (ax, az) from the sampler's draw to post-processing; for
+   NLDFE a QWC group);
 2. draw every shot's outcome exactly from its label's outcome law, with a
    mixed state's trajectory component marginalised out, at a cost per
    shot that does not grow with the number of distinct labels drawn:
@@ -136,18 +137,14 @@ def _parity_signs(words: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (popcount_array(words.astype(np.uint64)) & 1)
 
 
-def _weights(sampler, labels: np.ndarray) -> np.ndarray:
-    """Importance weight norm_sum |c|^(1 - 2 alpha) sign(c) of each label."""
-    c = sampler.coefficients(labels)
+def _weights(sampler, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
+    """Importance weight norm_sum |c|^(1 - 2 alpha) sign(c) of each point."""
+    c = sampler.coefficients(ax, az)
     if np.any(np.abs(c) <= COEFF_TOL / 10):
-        bad = int(labels[np.argmin(np.abs(c))])
-        raise AssertionError(
-            f"sampled zero-coefficient point {PauliPoint.from_index(sampler.n, bad)}")
+        bad = np.argmin(np.abs(c))
+        raise AssertionError("sampled zero-coefficient point "
+                             f"{PauliPoint(sampler.n, int(ax[bad]), int(az[bad]))}")
     return sampler.norm_sum * np.abs(c) ** (1.0 - 2.0 * sampler.alpha) * np.sign(c)
-
-
-def _split(labels: np.ndarray, n: int):
-    return labels >> n, labels & ((1 << n) - 1)
 
 
 def _born_law_rows(rho, frames, n: int) -> np.ndarray:
@@ -160,15 +157,14 @@ def _born_law_rows(rho, frames, n: int) -> np.ndarray:
 
 
 def _pauli_expectations(rho, n: int):
-    """<T_a>_rho as a function of flat labels.  Each distinct ax gets its
-    row of the 2^n x 2^n table from ``pauli_expectation_rows`` when first
-    drawn, and the row is kept for later calls."""
+    """<T_a>_rho as a function of word pairs (ax, az).  Each distinct ax
+    gets its row of the 2^n x 2^n table from ``pauli_expectation_rows``
+    when first drawn, and the row is kept for later calls."""
     dim = 1 << n
     table = np.empty((dim, dim))
     done = np.zeros(dim, dtype=bool)
 
-    def expectations(labels: np.ndarray) -> np.ndarray:
-        ax, az = _split(labels, n)
+    def expectations(ax: np.ndarray, az: np.ndarray) -> np.ndarray:
         new = np.flatnonzero(np.bincount(ax[~done[ax]], minlength=dim))
         table[new] = pauli_expectation_rows(rho, new)
         done[new] = True
@@ -176,40 +172,42 @@ def _pauli_expectations(rho, n: int):
     return expectations
 
 
-def _frame_expectations(rho, labels: np.ndarray, n: int) -> np.ndarray:
+def _frame_expectations(rho, ax: np.ndarray, az: np.ndarray, n: int) -> np.ndarray:
     """<T_a>_rho as the mean parity a'.b of the computational outcome b
     after rotating into the diagonalizing frame of T_a: the measurement a
     device makes, and the reference the tests hold the engine's <T_a>
     against."""
-    frames, aprimes = zip(*(diagonalizing_frame(PauliPoint.from_index(n, int(i)))
-                            for i in labels))
+    frames, aprimes = zip(*(diagonalizing_frame(PauliPoint(n, int(x), int(z)))
+                            for x, z in zip(ax, az)))
     laws = _born_law_rows(rho, list(frames), n)
     signs = _parity_signs(np.arange(1 << n) & np.array(aprimes)[:, None])
     return np.sum(laws * signs, axis=1)
 
 
 def _table_expectations(rho, target: StateVector, coeffs: CoeffVector):
-    """<T_a>_rho as a function of flat labels, read off the target's own
-    coefficient table when rho is the target under depolarizing noise p
-    (p = 0: the target itself): <T_a>_rho = (1-p) 2^n c(a) + p [a = 0].
-    None for any other rho."""
+    """<T_a>_rho as a function of word pairs (ax, az), read off the
+    target's own coefficient table when rho is the target under
+    depolarizing noise p (p = 0: the target itself):
+    <T_a>_rho = (1-p) 2^n c(a) + p [a = 0].  None for any other rho."""
     p = rho.depolarized_from(target)
     if p is None:
         return None
-    scale = (1.0 - p) * (1 << target.n)
-    return lambda labels: scale * coeffs.values[labels] + p * (labels == 0)
+    n = target.n
+    scale = (1.0 - p) * (1 << n)
+    return lambda ax, az: (scale * coeffs.values[(ax << n) | az]
+                           + p * ((ax | az) == 0))
 
 
 def _dfe_values(sampler, shots: int, rng: np.random.Generator,
                 expectations) -> np.ndarray:
     """Each shot draws a from the l_2a law and measures the two-outcome
     POVM {(I + T_a)/2, (I - T_a)/2}: +w(a) with probability
-    (1 + <T_a>)/2, else -w(a); expectations(labels) gives <T_a>."""
+    (1 + <T_a>)/2, else -w(a); expectations(ax, az) gives <T_a>."""
     def block(count: int) -> np.ndarray:
-        labels = sampler.draw_indices(rng, count)
+        ax, az = sampler.draw(rng, count)
         u = rng.random(count)
-        w = _weights(sampler, labels)
-        return np.where(u >= (1.0 + expectations(labels)) / 2.0, -w, w)
+        w = _weights(sampler, ax, az)
+        return np.where(u >= (1.0 + expectations(ax, az)) / 2.0, -w, w)
     return _in_blocks(shots, block)
 
 
@@ -218,8 +216,9 @@ def dfe_value_law(rho, sampler):
     over the sampler's support times the two POVM outcomes."""
     dist = sampler.distribution()
     labels = np.flatnonzero(dist)
-    w = _weights(sampler, labels)
-    t = _pauli_expectations(rho, sampler.n)(labels)
+    ax, az = np.divmod(labels, 1 << sampler.n)
+    w = _weights(sampler, ax, az)
+    t = _pauli_expectations(rho, sampler.n)(ax, az)
     plus = dist[labels] * (1.0 + t) / 2.0
     return np.concatenate([w, -w]), np.concatenate([plus, dist[labels] - plus])
 
@@ -278,21 +277,21 @@ def _fofe_cross(rho, ax, az, b, branch: str) -> np.ndarray:
     raise ConfigError(f"unknown branch {branch!r}")
 
 
-def _fofe_laws(rho, labels: np.ndarray, n: int, branch: str,
+def _fofe_laws(rho, ax: np.ndarray, az: np.ndarray, n: int, branch: str,
                diag: np.ndarray) -> np.ndarray:
     """Exact law over outcomes (b1 << n) | b' of one Hadamard-test branch,
-    one row per label:
+    one row per point (ax, az):
         P(b1, b') = (d(b') + d(b' ^ ax) +- cross(b')) / 4
     with d the computational Born law, cross from ``_fofe_cross``, and the
     sign + for b1 = 0."""
-    ax, az = (v[:, None] for v in _split(labels, n))
+    ax, az = ax[:, None], az[:, None]
     b = np.arange(1 << n)
     cross = _fofe_cross(rho, ax, az, b, branch)
     both = diag[b] + diag[b ^ ax]
     return np.concatenate([both + cross, both - cross], axis=1) / 4.0
 
 
-def _fofe_outcomes(rho, labels: np.ndarray, n: int, branch: str,
+def _fofe_outcomes(rho, ax: np.ndarray, az: np.ndarray, n: int, branch: str,
                    diag: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One outcome (b1 << n) | b' per shot, drawn exactly from the law of
     ``_fofe_laws`` without forming it, at O(1) cost per shot: b' from its
@@ -300,7 +299,6 @@ def _fofe_outcomes(rho, labels: np.ndarray, n: int, branch: str,
     flipped by ax with probability 1/2, then b1 from
     P(b1 = 0 | b') = 1/2 + cross(b') / (2 (d(b') + d(b' ^ ax))).
     u holds three uniforms per shot, shape (3, shots)."""
-    ax, az = _split(labels, n)
     d = np.clip(diag, 0.0, None)
     cum = np.cumsum(d)
     y = CdfTable(cum).search(u[0] * cum[-1])
@@ -316,7 +314,7 @@ def _computational_law(rho) -> np.ndarray:
 
 def fofe_outcome_distribution(state, a: PauliPoint, branch: str) -> np.ndarray:
     """Exact outcome distribution over (b1, b') of one FOFE branch."""
-    laws = _fofe_laws(state, np.array([a.index]), a.n, branch,
+    laws = _fofe_laws(state, np.array([a.ax]), np.array([a.az]), a.n, branch,
                       _computational_law(state))
     return np.clip(laws[0], 0.0, None)
 
@@ -347,12 +345,12 @@ def _fofe_values(rho, sampler, phases, shots: int, rng: np.random.Generator):
     branches = _branches(phases)
 
     def block(count: int) -> np.ndarray:
-        labels = sampler.draw_indices(rng, count)
-        outcomes = {branch: _fofe_outcomes(rho, labels, n, branch, diag,
+        ax, az = sampler.draw(rng, count)
+        outcomes = {branch: _fofe_outcomes(rho, ax, az, n, branch, diag,
                                            rng.random((3, count)))
                     for branch in branches}
-        w = _weights(sampler, labels)
-        return np.array([_fofe_post_process(phi, labels >> n, w, outcomes, n)
+        w = _weights(sampler, ax, az)
+        return np.array([_fofe_post_process(phi, ax, w, outcomes, n)
                          for phi in phases])
     return _in_blocks(shots, block), shots * len(branches)
 
@@ -363,17 +361,17 @@ def fofe_value_law(rho, sampler, phase: PhaseFunction):
     n = sampler.n
     dist = sampler.distribution()
     labels = np.flatnonzero(dist)
-    w = _weights(sampler, labels)[:, None]
+    ax, az = np.divmod(labels, 1 << n)
+    w = _weights(sampler, ax, az)[:, None]
     diag = _computational_law(rho)
     o = np.arange(2 << n)
-    ax = (labels >> n)[:, None]
     sign = 1 - 2 * (o >> n)
-    diff = phase_difference_table(phase, ax, o & ((1 << n) - 1))
+    diff = phase_difference_table(phase, ax[:, None], o & ((1 << n) - 1))
     values = w * sign * np.cos(diff)
-    probs = dist[labels][:, None] * _fofe_laws(rho, labels, n, "real", diag)
+    probs = dist[labels][:, None] * _fofe_laws(rho, ax, az, n, "real", diag)
     if not phase.is_real():
         imag_values = w * sign * np.sin(diff)
-        imag_probs = _fofe_laws(rho, labels, n, "imag", diag)
+        imag_probs = _fofe_laws(rho, ax, az, n, "imag", diag)
         values = values[:, :, None] + imag_values[:, None, :]
         probs = probs[:, :, None] * imag_probs[:, None, :]
     return values.ravel(), probs.ravel()

@@ -19,6 +19,11 @@ n-bit words ax, az, so qubit i sits at bit n - i.  :func:`qubit_bit` and
 :func:`qubit_mask` apply this rule with bounds checks; the loops in
 ``magic`` and ``samplers`` and the array code in ``estimation`` shift bits
 by the same rule directly.
+
+Samplers hand points to the shot engine as word pairs (ax, az), two int64
+arrays per batch.  There the flat index (ax << n) | az
+(``PauliPoint.index``) only addresses dense 4^n arrays, such as
+``CoeffVector.values`` or a sampler's ``distribution()``.
 """
 
 from __future__ import annotations
@@ -96,11 +101,6 @@ class PauliPoint:
     def from_index(cls, n: int, index: int) -> "PauliPoint":
         mask = (1 << n) - 1
         return cls(n, (index >> n) & mask, index & mask)
-
-    @property
-    def weight(self) -> int:
-        """Number of qubits on which T_a acts nontrivially."""
-        return (self.ax | self.az).bit_count()
 
 
 def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
@@ -186,9 +186,6 @@ class CoeffVector:
             raise NumericalHealthError(f"purity 2^n sum c^2 = {purity} exceeds 1")
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    def value(self, a: PauliPoint) -> float:
-        return float(self.values[a.index])
 
 
 def pauli_coefficients(psi) -> CoeffVector:

@@ -1,24 +1,17 @@
-"""Phase-point samplers: draw Pauli points a following the l_2a
-distribution |c(a)|^(2a) / sum_b |c(b)|^(2a) of a target state, with
+"""Phase-point samplers: draw Pauli points a = (ax, az) following the
+l_2a distribution |c(a)|^(2a) / sum_b |c(b)|^(2a) of a target state, with
 structure-exploiting fast paths for phase states, Dicke states, Bell
 sampling of real states, and real matrix-product states.
 
-Every sampler has
+Every sampler has one protocol:
   n, alpha        -- system size and the sampling exponent
   norm_sum        -- sum_b |c(b)|^(2 alpha) (the estimator weight scale)
-  draw(rng)       -- one PauliPoint with nonzero coefficient
-  distribution()  -- the law as a dense 4^n vector (Dicke: n <= 12,
-                     MPS: n <= 6)
-and some have more:
-  ExactSampler, UniformXSampler -- the two the estimators draw from:
-                     draw_indices(rng, size), flat indices (ax << n) | az
-                     drawn at once; coefficients(indices), their c(a);
-                     and coefficient(a) for one point
-  DickeSampler     -- coefficient(a)
-  MPSL2Sampler     -- coefficient(a), expectation(a) = <T_a>, and
-                     point_probability(a)
-  BellCircuitSampler has no more: the two-copy circuit yields points, not
-  their coefficients.
+  draw(rng, size) -- (ax, az): two int64 arrays of `size` X- and Z-words
+                     (qubit 1 = MSB), each point with nonzero coefficient
+  distribution()  -- the law as a dense 4^n vector over (ax << n) | az
+                     (Dicke: n <= 12, MPS: n <= 6)
+The samplers that know c(a) (Exact, UniformX, Dicke) also give
+coefficients(ax, az), the c(a) of each word pair.
 """
 
 from __future__ import annotations
@@ -30,10 +23,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
-from .f2 import COEFF_TOL, CoeffVector, PauliPoint, fwht
+from .f2 import COEFF_TOL, CoeffVector, PauliPoint, fwht, popcount_array
 from .states import RealMPS, StateVector
 
 BELL_TOTAL_QUBIT_CAP = 24
+#: drawn words are int64, so Dicke draws hold n <= 63
+DICKE_QUBIT_CAP = 63
 
 
 class CdfTable:
@@ -81,17 +76,12 @@ class ExactSampler:
         self._cum = np.cumsum(weights / self.norm_sum)
         self._table = CdfTable(self._cum)
 
-    def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._support[self._table.search(rng.random(size))]
+    def draw(self, rng: np.random.Generator, size: int):
+        labels = self._support[self._table.search(rng.random(size))]
+        return labels >> self.n, labels & ((1 << self.n) - 1)
 
-    def draw(self, rng: np.random.Generator) -> PauliPoint:
-        return PauliPoint.from_index(self.n, int(self.draw_indices(rng, 1)[0]))
-
-    def coefficient(self, a: PauliPoint) -> float:
-        return self._coeffs.value(a)
-
-    def coefficients(self, indices: np.ndarray) -> np.ndarray:
-        return self._coeffs.values[indices]
+    def coefficients(self, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
+        return self._coeffs.values[(ax << self.n) | az]
 
     def distribution(self) -> np.ndarray:
         out = np.zeros(1 << (2 * self.n))
@@ -109,23 +99,15 @@ class UniformXSampler:
         self.alpha = float(alpha)
         self.norm_sum = float((1 << n) * (2.0 ** (-n)) ** (2.0 * self.alpha))
 
-    def draw_indices(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.integers(0, 1 << self.n, size=size) << self.n
+    def draw(self, rng: np.random.Generator, size: int):
+        return rng.integers(0, 1 << self.n, size=size), np.zeros(size, dtype=np.int64)
 
-    def draw(self, rng: np.random.Generator) -> PauliPoint:
-        return PauliPoint.from_index(self.n, int(self.draw_indices(rng, 1)[0]))
-
-    def coefficient(self, a: PauliPoint) -> float:
-        return float(self.coefficients(np.array([a.index]))[0])
-
-    def coefficients(self, indices: np.ndarray) -> np.ndarray:
-        az = np.asarray(indices) & ((1 << self.n) - 1)
+    def coefficients(self, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
         return np.where(az == 0, 2.0 ** (-self.n), 0.0)
 
     def distribution(self) -> np.ndarray:
         out = np.zeros(1 << (2 * self.n))
-        for ax in range(1 << self.n):
-            out[ax << self.n] = 2.0 ** (-self.n)
+        out[np.arange(1 << self.n) << self.n] = 2.0 ** (-self.n)
         return out
 
 
@@ -149,11 +131,13 @@ def _dicke_class_table(n: int, k: int):
 
     A class is (p, w1, w2): p = |a_x| (even), w1 = |a_z & a_x|,
     w2 = |a_z & ~a_x|.  All points of a class share |c| and sign; the
-    class mass is count * |c|.  Returns (classes, masses, l1, coeff map).
+    class mass is count * |c|.  Returns (classes, masses, l1, keys,
+    coeffs): the classes in ascending order, their masses, their sum, and
+    each class's key (p (n+1) + w1) (n+1) + w2 and signed coefficient.
     """
     classes = []
     masses = []
-    coeff = {}
+    coeffs = []
     denom = (1 << n) * math.comb(n, k)
     for p in range(0, min(2 * k, n) + 1, 2):
         for w1 in range(p + 1):
@@ -167,12 +151,13 @@ def _dicke_class_table(n: int, k: int):
                     raise AssertionError("odd w1 must yield K1 = 0")
                 sign = (-1) ** (w1 // 2) * (1 if val > 0 else -1)
                 c = abs(val) / denom
-                coeff[(p, w1, w2)] = sign * c
+                coeffs.append(sign * c)
                 count = math.comb(n, p) * math.comb(p, w1) * math.comb(n - p, w2)
                 classes.append((p, w1, w2))
                 masses.append(count * c)
     masses = np.array(masses)
-    return classes, masses, float(masses.sum()), coeff
+    keys = np.array(classes, dtype=np.int64) @ [(n + 1) ** 2, n + 1, 1]
+    return classes, masses, float(masses.sum()), keys, np.array(coeffs)
 
 
 class DickeSampler:
@@ -186,40 +171,41 @@ class DickeSampler:
             raise DimensionError(f"k={k} outside 0..{n//2}")
         self.n = n
         self.k = k
-        self._classes, masses, self.norm_sum, self._coeff = _dicke_class_table(n, k)
+        (self._classes, masses, self.norm_sum, self._keys,
+         self._coeffs) = _dicke_class_table(n, k)
         self._cum = np.cumsum(masses / self.norm_sum)
 
-    def _class_of(self, a: PauliPoint):
-        return (a.ax.bit_count(), (a.az & a.ax).bit_count(),
-                (a.az & ~a.ax).bit_count())
+    def coefficients(self, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
+        """c(a) of each word pair: the entry of its class (p, w1, w2), read
+        off the popcounts, or 0 for a class with no entry."""
+        p, w1, w2 = (popcount_array(w.astype(np.uint64)).astype(np.int64)
+                     for w in (ax, az & ax, az & ~ax))
+        key = (p * (self.n + 1) + w1) * (self.n + 1) + w2
+        pos = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
+        return np.where(self._keys[pos] == key, self._coeffs[pos], 0.0)
 
-    def coefficient(self, a: PauliPoint) -> float:
-        return self._coeff.get(self._class_of(a), 0.0)
-
-    def draw(self, rng: np.random.Generator) -> PauliPoint:
-        j = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        j = min(j, len(self._classes) - 1)
-        p, w1, w2 = self._classes[j]
-        pos = rng.permutation(self.n)
-        x_pos = pos[:p]
-        ax = 0
-        for i in x_pos:
-            ax |= 1 << int(i)
-        az = 0
-        for i in rng.permutation(x_pos)[:w1]:
-            az |= 1 << int(i)
-        for i in rng.permutation(pos[p:])[:w2]:
-            az |= 1 << int(i)
-        return PauliPoint(self.n, ax, az)
+    def draw(self, rng: np.random.Generator, size: int):
+        if self.n > DICKE_QUBIT_CAP:
+            raise CapExceededError(
+                f"Dicke draws capped at n <= {DICKE_QUBIT_CAP} (int64 words)")
+        ax, az = np.zeros((2, size), dtype=np.int64)
+        for s in range(size):
+            j = int(np.searchsorted(self._cum, rng.random(), side="right"))
+            j = min(j, len(self._classes) - 1)
+            p, w1, w2 = self._classes[j]
+            pos = rng.permutation(self.n)
+            x_pos = pos[:p]
+            ax[s] = np.sum(1 << x_pos)
+            az[s] = (np.sum(1 << rng.permutation(x_pos)[:w1])
+                     + np.sum(1 << rng.permutation(pos[p:])[:w2]))
+        return ax, az
 
     def distribution(self) -> np.ndarray:
         if self.n > 12:
             raise CapExceededError("dense Dicke distribution capped at n <= 12")
-        out = np.zeros(1 << (2 * self.n))
-        for idx in range(out.size):
-            a = PauliPoint.from_index(self.n, idx)
-            out[idx] = abs(self.coefficient(a)) / self.norm_sum
-        return out
+        labels = np.arange(1 << (2 * self.n))
+        c = self.coefficients(labels >> self.n, labels & ((1 << self.n) - 1))
+        return np.abs(c) / self.norm_sum
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +238,14 @@ class BellCircuitSampler:
         self._cum = np.cumsum(self._probs)
         self.norm_sum = 2.0 ** (-n)  # sum_a c_a^2 for a pure state
 
-    def draw(self, rng: np.random.Generator) -> PauliPoint:
-        j = int(np.searchsorted(self._cum, rng.random(), side="right"))
-        j = min(j, self._probs.size - 1)
-        b1, b2 = j >> self.n, j & ((1 << self.n) - 1)
-        return PauliPoint(self.n, ax=b2, az=b1)
+    def draw(self, rng: np.random.Generator, size: int):
+        j = np.searchsorted(self._cum, rng.random(size), side="right")
+        j = np.minimum(j, self._probs.size - 1)
+        return j & ((1 << self.n) - 1), j >> self.n  # (b2, b1)
 
     def distribution(self) -> np.ndarray:
-        out = np.zeros(1 << (2 * self.n))
-        for j, p in enumerate(self._probs):
-            b1, b2 = j >> self.n, j & ((1 << self.n) - 1)
-            out[(b2 << self.n) | b1] += p
-        return out
+        dim = 1 << self.n
+        return self._probs.reshape(dim, dim).T.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -315,30 +297,30 @@ class MPSL2Sampler:
         val = np.einsum("abcd,ac,bd->", l4, hm, hm)
         return float(val) * 2.0 ** (-k)
 
-    def draw(self, rng: np.random.Generator) -> PauliPoint:
-        lmat = self._l0
-        prev = self._marginal(lmat, 0)
-        ax = az = 0
-        for i in range(self.n):
-            cands = []
-            weights = np.empty(4)
-            for j, (bx, bz) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-                g = self._g[i, bx, bz]
-                cand = g.T @ lmat @ g
-                cands.append(cand)
-                weights[j] = max(self._marginal(cand, i + 1), 0.0)
-            total = weights.sum()
-            if prev > 0 and abs(total / prev - 1.0) > self.DRIFT_TOL:
-                warnings.warn(
-                    f"MPS conditional drift {abs(total/prev - 1.0):.3e} "
-                    f"at site {i + 1}", RuntimeWarning)
-            j = int(rng.choice(4, p=weights / total))
-            bx, bz = ((0, 0), (0, 1), (1, 0), (1, 1))[j]
-            ax = (ax << 1) | bx
-            az = (az << 1) | bz
-            lmat = cands[j]
-            prev = weights[j]
-        return PauliPoint(self.n, ax, az)
+    def draw(self, rng: np.random.Generator, size: int):
+        ax, az = np.zeros((2, size), dtype=np.int64)
+        for s in range(size):
+            lmat = self._l0
+            prev = self._marginal(lmat, 0)
+            for i in range(self.n):
+                cands = []
+                weights = np.empty(4)
+                for j, (bx, bz) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+                    g = self._g[i, bx, bz]
+                    cand = g.T @ lmat @ g
+                    cands.append(cand)
+                    weights[j] = max(self._marginal(cand, i + 1), 0.0)
+                total = weights.sum()
+                if prev > 0 and abs(total / prev - 1.0) > self.DRIFT_TOL:
+                    warnings.warn(
+                        f"MPS conditional drift {abs(total/prev - 1.0):.3e} "
+                        f"at site {i + 1}", RuntimeWarning)
+                j = int(rng.choice(4, p=weights / total))
+                ax[s] = (ax[s] << 1) | (j >> 1)
+                az[s] = (az[s] << 1) | (j & 1)
+                lmat = cands[j]
+                prev = weights[j]
+        return ax, az
 
     def expectation(self, a: PauliPoint) -> float:
         """<T_a> by direct transfer contraction (real MPS)."""
@@ -352,9 +334,6 @@ class MPSL2Sampler:
             vec = self._g[i, bx, bz].T @ vec
         s = float(vec @ np.kron(self._mps.right, self._mps.right))
         return (-1) ** (w // 2) * s
-
-    def coefficient(self, a: PauliPoint) -> float:
-        return self.expectation(a) / (1 << self.n)
 
     def point_probability(self, a: PauliPoint) -> float:
         """Chain-rule probability of one point (marginal telescoping)."""

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fidest
-from fidest import cli, magic
+from fidest import cli, magic, samplers
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +309,22 @@ class TestSubcommands:
         code, out, _ = run_cli(capsys, "hypergraph-bounds", "--nmin", n,
                                "--nmax", n, "--samples", "5",
                                "--deterministic")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        assert rows[0][0] == n
+
+    def test_dicke_cap(self, capsys):
+        # a drawn Pauli point is a pair of int64 words
+        code, _, err = run_cli(capsys, "dicke", "--n",
+                               str(samplers.DICKE_QUBIT_CAP + 1), "--k", "3",
+                               "--samples", "1", "--deterministic")
+        assert code == 3
+        assert "Traceback" not in err
+
+    def test_dicke_at_cap(self, capsys):
+        n = str(samplers.DICKE_QUBIT_CAP)
+        code, out, _ = run_cli(capsys, "dicke", "--n", n, "--k", "3",
+                               "--samples", "5", "--deterministic")
         assert code == 0
         _, header, rows = parse_csv(out)
         assert rows[0][0] == n

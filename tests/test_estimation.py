@@ -34,8 +34,9 @@ class TestDFE:
             else:
                 dist = sampler.distribution()
                 labels = np.flatnonzero(dist)
-                t = estimation._frame_expectations(rho, labels, 3)
-                got = float(dist[labels] * estimation._weights(sampler, labels) @ t)
+                ax, az = labels >> 3, labels & 7
+                t = estimation._frame_expectations(rho, ax, az, 3)
+                got = float(dist[labels] * estimation._weights(sampler, ax, az) @ t)
             assert got == pytest.approx(want, abs=1e-9)
 
     @settings(max_examples=25, deadline=None)
@@ -44,10 +45,10 @@ class TestDFE:
         # <T_a> as the parity of a measurement in the diagonalizing frame
         # equals the engine's <T_a> on every label, for every state type
         rng = np.random.default_rng(seed)
-        labels = np.arange(4**n)
+        ax, az = np.divmod(np.arange(4**n), 1 << n)
         for rho in state_kinds(states.haar_random(n, rng), rng):
-            assert np.allclose(estimation._frame_expectations(rho, labels, n),
-                               estimation._pauli_expectations(rho, n)(labels),
+            assert np.allclose(estimation._frame_expectations(rho, ax, az, n),
+                               estimation._pauli_expectations(rho, n)(ax, az),
                                atol=1e-12, rtol=0)
 
     def test_shot_magnitude_is_l1_at_half(self):
@@ -435,13 +436,13 @@ class TestOutcomeSamplers:
     @pytest.mark.parametrize("branch", ["real", "imag"])
     def test_fofe_outcomes_follow_branch_law(self, n, branch):
         rng = np.random.default_rng(40 + n)
-        labels = rng.integers(0, 4**n, 6)
+        ax, az = np.divmod(rng.integers(0, 4**n, 6), 1 << n)
         for rho in state_kinds(states.haar_random(n, rng), rng):
             diag = estimation._computational_law(rho)
-            laws = np.clip(estimation._fofe_laws(rho, labels, n, branch, diag), 0, None)
-            rows = rng.integers(0, labels.size, 120_000)
-            out = estimation._fofe_outcomes(rho, labels[rows], n, branch, diag,
-                                            rng.random((3, rows.size)))
+            laws = np.clip(estimation._fofe_laws(rho, ax, az, n, branch, diag), 0, None)
+            rows = rng.integers(0, ax.size, 120_000)
+            out = estimation._fofe_outcomes(rho, ax[rows], az[rows], n, branch,
+                                            diag, rng.random((3, rows.size)))
             assert_frequencies(out, rows, laws)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
@@ -462,11 +463,11 @@ class TestOutcomeSamplers:
         rng = np.random.default_rng(seed)
         target = states.haar_random(n, rng)
         coeffs = pauli_coefficients(target)
-        labels = np.arange(4**n)
+        ax, az = np.divmod(np.arange(4**n), 1 << n)
         for rho in (target, states.depolarize(target, p)):
             table = estimation._table_expectations(rho, target, coeffs)
-            assert np.allclose(table(labels),
-                               estimation._pauli_expectations(rho, n)(labels),
+            assert np.allclose(table(ax, az),
+                               estimation._pauli_expectations(rho, n)(ax, az),
                                atol=1e-12, rtol=0)
         # any other state has no table, however equal its matrix
         for rho in (explicit_depolarized(target, p),

@@ -155,7 +155,7 @@ class TestPauliCoefficients:
         for idx in range(16):
             a = f2.PauliPoint.from_index(2, idx)
             want = np.trace(rho @ dense_pauli(a)).real / 4
-            assert c.value(a) == pytest.approx(want, abs=1e-12)
+            assert c.values[a.index] == pytest.approx(want, abs=1e-12)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

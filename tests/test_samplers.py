@@ -2,7 +2,8 @@
 
 Every specialized sampler is checked against the exact enumeration law
 p(a) proportional to |c_a|^(2 alpha), both for the dense distribution()
-(total variation) and for per-point coefficients.
+(total variation) and for its coefficients; every sampler's batch draw
+is checked against its own distribution().
 """
 
 import time
@@ -25,12 +26,33 @@ def tv(p, q):
     return 0.5 * np.abs(p - q).sum()
 
 
-def empirical(sampler, shots, seed):
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(1 << (2 * sampler.n))
-    for _ in range(shots):
-        counts[sampler.draw(rng).index] += 1
-    return counts / shots
+def _stripped_haar(n, seed):
+    return states.phase_strip(states.haar_random(n, np.random.default_rng(seed)))[0]
+
+
+#: (sampler factory, draws, total-variation bound) per sampler class
+PROTOCOL_CASES = {
+    "exact": (lambda: samplers.ExactSampler(
+        pauli_coefficients(states.dicke_state(4, 1)), 0.5), 20000, 0.05),
+    "uniform-x": (lambda: samplers.UniformXSampler(3), 4000, 0.05),
+    "dicke": (lambda: samplers.DickeSampler(3, 1), 6000, 0.05),
+    "bell": (lambda: samplers.BellCircuitSampler(_stripped_haar(2, 7)), 6000, 0.06),
+    "mps": (lambda: samplers.MPSL2Sampler(
+        states.random_real_mps(3, 2, np.random.default_rng(12))), 4000, 0.07),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROTOCOL_CASES))
+def test_batch_draw_follows_distribution(case):
+    # draw(rng, size) gives two int64 word arrays whose empirical law
+    # matches distribution()
+    make, size, bound = PROTOCOL_CASES[case]
+    s = make()
+    ax, az = s.draw(np.random.default_rng(2), size)
+    for words in (ax, az):
+        assert words.dtype == np.int64 and words.shape == (size,)
+    emp = np.bincount((ax << s.n) | az, minlength=1 << (2 * s.n)) / size
+    assert tv(emp, s.distribution()) < bound
 
 
 class TestExactSampler:
@@ -46,12 +68,6 @@ class TestExactSampler:
         s = samplers.ExactSampler(c, 0.5)
         assert s.norm_sum == pytest.approx(np.abs(c.values).sum())
 
-    def test_draw_statistics(self):
-        psi = states.dicke_state(4, 1)
-        s = samplers.ExactSampler(pauli_coefficients(psi), 0.5)
-        emp = empirical(s, 4000, seed=2)
-        assert tv(emp, s.distribution()) < 0.05
-
 
 class TestUniformXSampler:
     def test_matches_phase_state_law(self):
@@ -66,8 +82,8 @@ class TestUniformXSampler:
 
     def test_coefficient(self):
         s = samplers.UniformXSampler(2)
-        assert s.coefficient(PauliPoint(2, 0b11, 0)) == 0.25
-        assert s.coefficient(PauliPoint(2, 0b11, 0b01)) == 0.0
+        got = s.coefficients(np.array([0b11, 0b11]), np.array([0, 0b01]))
+        assert got.tolist() == [0.25, 0.0]
 
     def test_norm_sum(self):
         s = samplers.UniformXSampler(4, alpha=0.5)
@@ -85,9 +101,8 @@ class TestDickeSampler:
     def test_coefficients_match_enumeration(self, n, k):
         s = samplers.DickeSampler(n, k)
         c = pauli_coefficients(states.dicke_state(n, k))
-        for idx in range(1 << (2 * n)):
-            a = PauliPoint.from_index(n, idx)
-            assert s.coefficient(a) == pytest.approx(c.value(a), abs=1e-12)
+        ax, az = np.divmod(np.arange(1 << (2 * n)), 1 << n)
+        assert s.coefficients(ax, az) == pytest.approx(c.values, abs=1e-12)
 
     def test_norm_sum_is_l1(self):
         for n, k in [(4, 2), (6, 2), (8, 4)]:
@@ -96,17 +111,22 @@ class TestDickeSampler:
                           .values).sum()
             assert s.norm_sum == pytest.approx(want, abs=1e-9)
 
-    def test_draw_statistics(self):
-        s = samplers.DickeSampler(3, 1)
-        emp = empirical(s, 6000, seed=4)
-        assert tv(emp, s.distribution()) < 0.05
+    @pytest.mark.parametrize("n,k", [(40, 10), (63, 31)])
+    def test_words_past_bit_31(self, n, k):
+        # Far beyond the dense 2^2n regime, drawn int64 words reach past
+        # bit 31 without overflow, and every drawn point has c(a) != 0.
+        s = samplers.DickeSampler(n, k)
+        ax, az = s.draw(np.random.default_rng(5), 200)
+        for words in (ax, az):
+            assert words.dtype == np.int64
+            assert np.all((words >= 0) & (words < 1 << n))
+        assert max(ax.max(), az.max()) > 1 << 31
+        assert np.all(s.coefficients(ax, az) != 0)
 
-    def test_scales_past_dense_cap(self):
-        # Class-table construction works far beyond the dense 2^2n regime.
-        s = samplers.DickeSampler(40, 10)
-        a = s.draw(np.random.default_rng(5))
-        assert a.n == 40
-        assert abs(s.coefficient(a)) > 0
+    def test_draw_cap(self):
+        s = samplers.DickeSampler(samplers.DICKE_QUBIT_CAP + 1, 2)
+        with pytest.raises(CapExceededError):
+            s.draw(np.random.default_rng(5), 1)
 
     def test_polynomial_scaling(self):
         # Setup time should grow polynomially: going n -> 2n must not
@@ -144,13 +164,6 @@ class TestBellCircuitSampler:
         with pytest.raises(CapExceededError):
             samplers.BellCircuitSampler(big)
 
-    def test_draw_statistics(self):
-        stripped, _ = states.phase_strip(
-            states.haar_random(2, np.random.default_rng(7)))
-        s = samplers.BellCircuitSampler(stripped)
-        emp = empirical(s, 6000, seed=8)
-        assert tv(emp, s.distribution()) < 0.06
-
 
 class TestMPSL2Sampler:
     @pytest.mark.parametrize("n,chi", [(3, 2), (4, 3), (5, 4)])
@@ -167,13 +180,8 @@ class TestMPSL2Sampler:
         s = samplers.MPSL2Sampler(mps)
         for idx in range(1 << (2 * n)):
             a = PauliPoint.from_index(n, idx)
-            assert s.coefficient(a) == pytest.approx(c.value(a), abs=1e-9)
-
-    def test_draw_statistics(self):
-        mps = states.random_real_mps(3, 2, np.random.default_rng(12))
-        s = samplers.MPSL2Sampler(mps)
-        emp = empirical(s, 4000, seed=13)
-        assert tv(emp, s.distribution()) < 0.07
+            assert s.expectation(a) / (1 << n) == pytest.approx(
+                c.values[idx], abs=1e-9)
 
     def test_point_probability_telescopes(self):
         mps = states.random_real_mps(4, 2, np.random.default_rng(14))
@@ -187,7 +195,6 @@ class TestMPSL2Sampler:
     def test_large_instance_runs(self):
         mps = states.random_real_mps(12, 8, np.random.default_rng(15))
         s = samplers.MPSL2Sampler(mps)
-        a = s.draw(np.random.default_rng(16))
-        assert a.n == 12
+        ax, az = s.draw(np.random.default_rng(16), 1)
         # probability of the drawn point should be positive
-        assert s.point_probability(a) > 0
+        assert s.point_probability(PauliPoint(12, int(ax[0]), int(az[0]))) > 0
