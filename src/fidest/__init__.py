@@ -3,7 +3,9 @@
 Modules:
   f2          -- binary-symplectic Pauli algebra, the Pauli-expectation
                  kernel, FWHT, F2 rank
-  states      -- state construction, phase stripping, noise, Born laws
+  states      -- the two state types (pure StateVector; Mixture of pure
+                 members plus white noise), state construction, phase
+                 stripping, depolarizing noise, Born laws
   magic       -- l-norms, stabilizer Renyi entropies, hypergraph rank
                  brackets on the 1/2-DFE second moment, Haar closed forms,
                  the Dirichlet stripped-l1 estimator
@@ -24,11 +26,10 @@ from .errors import (CapExceededError, ConfigError, DimensionError,
 from .f2 import (CoeffVector, F2Matrix, PauliPoint, diagonalizing_frame,
                  f2_rank, fwht, pauli_coefficients, pauli_expectation,
                  symplectic_product)
-from .states import (DenseState, Depolarized, PhaseFunction, RealMPS,
-                     StateVector, TrajectoryMixture, depolarize, dicke_state,
-                     exact_fidelity, haar_random, hypergraph_state,
-                     mps_to_statevector, phase_state, phase_strip,
-                     random_real_mps)
+from .states import (Mixture, PhaseFunction, RealMPS, StateVector,
+                     density_matrix, depolarize, dicke_state, exact_fidelity,
+                     haar_random, hypergraph_state, mps_to_statevector,
+                     phase_state, phase_strip, random_real_mps)
 
 __all__ = [
     "__version__",
@@ -37,8 +38,8 @@ __all__ = [
     "CoeffVector", "F2Matrix", "PauliPoint", "diagonalizing_frame",
     "f2_rank", "fwht", "pauli_coefficients", "pauli_expectation",
     "symplectic_product",
-    "DenseState", "Depolarized", "PhaseFunction", "RealMPS", "StateVector",
-    "TrajectoryMixture", "depolarize", "dicke_state", "exact_fidelity",
-    "haar_random", "hypergraph_state", "mps_to_statevector", "phase_state",
-    "phase_strip", "random_real_mps",
+    "Mixture", "PhaseFunction", "RealMPS", "StateVector", "density_matrix",
+    "depolarize", "dicke_state", "exact_fidelity", "haar_random",
+    "hypergraph_state", "mps_to_statevector", "phase_state", "phase_strip",
+    "random_real_mps",
 ]

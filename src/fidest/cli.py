@@ -246,8 +246,7 @@ def cmd_tomography(args) -> ResultTable:
     comps = [states.haar_random(args.n, rng) for _ in range(3)]
     w = rng.random(3)
     w /= w.sum()
-    rho = states.TrajectoryMixture(
-        args.n, tuple((float(x), c) for x, c in zip(w, comps))).to_dense()
+    rho = states.density_matrix(states.Mixture(args.n, tuple(w), tuple(comps)))
     table = ResultTable(
         columns=["n", "shots_per_basis", "l2_error"],
         metadata={"config": _config_echo(args, ("n", "shots_ladder"))})
@@ -547,8 +546,10 @@ def _validate(args) -> None:
         if args.n > tomography.MUB_QUBIT_CAP:
             raise CapExceededError(
                 f"tomography capped at n <= {tomography.MUB_QUBIT_CAP}")
-    if args.command == "mps-sample" and (args.n > 12 or args.chi > 8):
-        raise CapExceededError("mps-sample capped at n <= 12, chi <= 8")
+    if args.command == "mps-sample" and (args.n > states.MPS_QUBIT_CAP
+                                         or args.chi > states.MPS_BOND_CAP):
+        raise CapExceededError(f"mps-sample capped at n <= {states.MPS_QUBIT_CAP}, "
+                               f"chi <= {states.MPS_BOND_CAP}")
     if args.command in ("run", "norms") and args.n > 10:
         raise CapExceededError("dense coefficient work capped at n <= 10")
     if args.command == "fig2a" and args.n > 10:

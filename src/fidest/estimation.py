@@ -37,7 +37,7 @@ from .errors import CapExceededError, ConfigError, DimensionError
 from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, PauliPoint,
                  _apply_pauli_amps, diagonalizing_frame, fwht,
                  pauli_coefficients, pauli_expectation_rows, pauli_phase,
-                 popcount_array)
+                 popcount_array, xor_diagonals)
 from .samplers import CdfTable, ExactSampler, UniformXSampler
 from .states import (_FRAME_LABELS, PhaseFunction, StateVector, _kron_gates,
                      _rotate_leading, exact_fidelity, phase_strip)
@@ -186,16 +186,16 @@ def _frame_expectations(rho, ax: np.ndarray, az: np.ndarray, n: int) -> np.ndarr
 
 def _table_expectations(rho, target: StateVector, coeffs: CoeffVector):
     """<T_a>_rho as a function of word pairs (ax, az), read off the
-    target's own coefficient table when rho is the target under
-    depolarizing noise p (p = 0: the target itself):
-    <T_a>_rho = (1-p) 2^n c(a) + p [a = 0].  None for any other rho."""
-    p = rho.depolarized_from(target)
-    if p is None:
+    target's own coefficient table when the target is the one pure member
+    of rho = w |target><target| + u I/2^n (w = 1, u = 0: the target
+    itself): <T_a>_rho = w 2^n c(a) + u [a = 0].  None for any other rho."""
+    weights, amps, mixed = rho.pure_ensemble()
+    if weights.size != 1 or not np.array_equal(amps[0], target.amplitudes):
         return None
     n = target.n
-    scale = (1.0 - p) * (1 << n)
+    scale = weights[0] * (1 << n)
     return lambda ax, az: (scale * coeffs.values[(ax << n) | az]
-                           + p * ((ax | az) == 0))
+                           + mixed * ((ax | az) == 0))
 
 
 def _dfe_values(sampler, shots: int, rng: np.random.Generator,
@@ -309,7 +309,7 @@ def _fofe_outcomes(rho, ax: np.ndarray, az: np.ndarray, n: int, branch: str,
 
 
 def _computational_law(rho) -> np.ndarray:
-    return rho.xor_diagonals(np.zeros(1, dtype=np.int64))[0].real
+    return xor_diagonals(rho, np.zeros(1, dtype=np.int64))[0].real
 
 
 def fofe_outcome_distribution(state, a: PauliPoint, branch: str) -> np.ndarray:
@@ -507,58 +507,69 @@ def build_qwc_partition(coeffs: CoeffVector,
                         ordering=ordering, codes=frames, chats=chats)
 
 
-def _frame_outcomes(state, codes: np.ndarray, which: np.ndarray,
-                    u: np.ndarray) -> np.ndarray:
-    """One computational outcome per shot j after rotating ``state`` into
-    the frame codes[which[j]] (rows as ``states.frame_codes``), drawn
-    exactly from the Born law without forming it; u holds three uniforms
-    per shot, shape (3, shots).
+def _frame_outcomes(state, codes: np.ndarray):
+    """outcomes(which, u): one computational outcome per shot j after
+    rotating ``state`` into the frame codes[which[j]] (rows as
+    ``states.frame_codes``), drawn exactly from the Born law without
+    forming it; u holds three uniforms per shot, shape (3, shots).
 
     A shot picks a member of ``pure_ensemble()``; the I/2^n part gives a
     uniform outcome.  For a pure member psi, split the qubits into the
     first n - r and the last r (r = min(3, n)), and rotate psi by the
     first block's gates only: the rows psi_L of that partial rotation, as
-    a 2^(n-r) x 2^r matrix, are formed once per distinct (member, first
-    block frame).  The last block's rotation V_R is unitary, so the first
-    block's outcome i has law ||row i of psi_L||^2, and given i the last
-    block's outcome j has law |V_R (row i of psi_L)|_j^2 over that: every
-    shot costs one 2^r x 2^r product."""
+    a 2^(n-r) x 2^r matrix, are formed when their (member, first block
+    frame) pair is first drawn, and kept for later calls.  The last
+    block's rotation V_R is unitary, so the first block's outcome i has
+    law ||row i of psi_L||^2, and given i the last block's outcome j has
+    law |V_R (row i of psi_L)|_j^2 over that: every shot costs one
+    2^r x 2^r product."""
     n = codes.shape[1]
     r = min(3, n)
     lead = n - r
     weights, amps, mixed = state.pure_ensemble()
-    member = _inverse_cdf(np.append(weights, mixed)[None, :],
-                          np.zeros(u.shape[1], dtype=np.int64), u[0])
-    out = np.empty(u.shape[1], dtype=np.int64)
-    flat = member == weights.size
-    out[flat] = np.minimum((u[1, flat] * (1 << n)).astype(np.int64),
-                           (1 << n) - 1)
-    pure = np.flatnonzero(~flat)
-    if pure.size == 0:
-        return out
-    frame = which[pure]
     place = 3 ** np.arange(n, dtype=np.int64)
     lead_key = codes[:, :lead] @ place[:lead]
-    pairs = _Groups.of(member[pure] * 3**lead + lead_key[frame])
-    first = pairs.first()
-    rows = _rotate_leading(amps[member[pure[first]]], codes[frame[first], :lead])
-    rows = rows.reshape(-1, 1 << lead, 1 << r)
-    i = _inverse_cdf(np.sum(np.abs(rows) ** 2, axis=2), pairs.inv, u[1, pure])
-    last = _Groups.of((codes[:, lead:] @ place[:r])[frame])
-    gates = _kron_gates(codes[frame[last.first()], lead:])
-    pair, row = pairs.inv[last.order], i[last.order]
-    target = u[2, pure[last.order]]
-    counts = np.empty(pure.size, dtype=np.int64)
-    for k in range(last.uniq.size):
-        sl = slice(last.starts[k], last.starts[k + 1])
-        amp = rows[pair[sl], row[sl]] @ gates[k].T
-        cum = np.cumsum(amp.real ** 2 + amp.imag ** 2, axis=1)
-        # inverse CDF: the number of cumulative sums at or below u
-        counts[sl] = (cum <= target[sl, None] * cum[:, -1:]).sum(axis=1)
-    j = np.empty(pure.size, dtype=np.int64)
-    j[last.order] = np.minimum(counts, (1 << r) - 1)
-    out[pure] = (i << r) | j
-    return out
+    slots = np.full(weights.size * 3**lead, -1, dtype=np.int64)
+    kept = np.empty((0, 1 << lead, 1 << r), dtype=complex)
+
+    def outcomes(which: np.ndarray, u: np.ndarray) -> np.ndarray:
+        nonlocal kept
+        member = _inverse_cdf(np.append(weights, mixed)[None, :],
+                              np.zeros(u.shape[1], dtype=np.int64), u[0])
+        out = np.empty(u.shape[1], dtype=np.int64)
+        flat = member == weights.size
+        out[flat] = np.minimum((u[1, flat] * (1 << n)).astype(np.int64),
+                               (1 << n) - 1)
+        pure = np.flatnonzero(~flat)
+        if pure.size == 0:
+            return out
+        frame = which[pure]
+        pairs = _Groups.of(member[pure] * 3**lead + lead_key[frame])
+        new = slots[pairs.uniq] < 0
+        if new.any():
+            first = pairs.first()[new]
+            rows = _rotate_leading(amps[member[pure[first]]],
+                                   codes[frame[first], :lead])
+            slots[pairs.uniq[new]] = kept.shape[0] + np.arange(first.size)
+            kept = np.concatenate([kept, rows.reshape(-1, 1 << lead, 1 << r)])
+        rows = kept[slots[pairs.uniq]]
+        i = _inverse_cdf(np.sum(np.abs(rows) ** 2, axis=2), pairs.inv, u[1, pure])
+        last = _Groups.of((codes[:, lead:] @ place[:r])[frame])
+        gates = _kron_gates(codes[frame[last.first()], lead:])
+        pair, row = pairs.inv[last.order], i[last.order]
+        target = u[2, pure[last.order]]
+        counts = np.empty(pure.size, dtype=np.int64)
+        for k in range(last.uniq.size):
+            sl = slice(last.starts[k], last.starts[k + 1])
+            amp = rows[pair[sl], row[sl]] @ gates[k].T
+            cum = np.cumsum(amp.real ** 2 + amp.imag ** 2, axis=1)
+            # inverse CDF: the number of cumulative sums at or below u
+            counts[sl] = (cum <= target[sl, None] * cum[:, -1:]).sum(axis=1)
+        j = np.empty(pure.size, dtype=np.int64)
+        j[last.order] = np.minimum(counts, (1 << r) - 1)
+        out[pure] = (i << r) | j
+        return out
+    return outcomes
 
 
 def _nldfe_values(rho, part: QWCPartition, shots: int,
@@ -569,10 +580,11 @@ def _nldfe_values(rho, part: QWCPartition, shots: int,
         raise ConfigError("empty partition")
     weights = np.array([g.weight for g in part.groups])
     by_weight = CdfTable(np.cumsum(weights / weights.sum()))
+    frame_outcomes = _frame_outcomes(rho, part.codes)
 
     def block(count: int) -> np.ndarray:
         groups = by_weight.search(rng.random(count))
-        outcomes = _frame_outcomes(rho, part.codes, groups, rng.random((3, count)))
+        outcomes = frame_outcomes(groups, rng.random((3, count)))
         return part.total_weight * (part.chats[groups, outcomes] / weights[groups])
     return _in_blocks(shots, block)
 

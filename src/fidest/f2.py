@@ -133,13 +133,21 @@ def pauli_phase(ax, az) -> np.ndarray:
 CHUNK_BYTES = 1 << 20
 
 
+def xor_diagonals(state, ax) -> np.ndarray:
+    """Rows rho[x, x ^ ax_j] over every x, one per word ax_j, read through
+    the state's ``entries``: every Pauli expectation and Hadamard-test law
+    is built from them."""
+    x = np.arange(1 << state.n)
+    return state.entries(x, x ^ np.asarray(ax, dtype=np.int64)[:, None])
+
+
 def pauli_expectation_rows(state, words) -> np.ndarray:
     """<T_(ax, az)> of any state for each X-word ax in ``words`` (rows)
     and every Z-word az (columns):
 
         <T_a> = i^|ax & az| sum_x rho[x, x ^ ax] (-1)^(az.x),
 
-    one Walsh-Hadamard transform of the state's ``xor_diagonals`` per
+    one Walsh-Hadamard transform of the ``xor_diagonals`` row of each
     word, in blocks of about CHUNK_BYTES.  The values are real for any
     valid state; the largest imaginary residual is checked."""
     words = np.asarray(words, dtype=np.int64)
@@ -150,7 +158,7 @@ def pauli_expectation_rows(state, words) -> np.ndarray:
     worst = 0.0
     for lo in range(0, words.size, step):
         ax = words[lo:lo + step]
-        vals = pauli_phase(ax[:, None], az) * fwht(state.xor_diagonals(ax))
+        vals = pauli_phase(ax[:, None], az) * fwht(xor_diagonals(state, ax))
         worst = max(worst, float(np.max(np.abs(vals.imag))))
         out[lo:lo + ax.size] = vals.real
     if worst > 1e-9:

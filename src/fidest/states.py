@@ -2,23 +2,21 @@
 states, phase stripping, depolarizing noise, exact fidelity, and Born
 laws in product measurement frames.
 
-All state types are immutable after construction.  The four of them
-(``StateVector``, ``DenseState``, ``TrajectoryMixture``, ``Depolarized``)
-share one interface, so no other module branches on the type:
+Two immutable state types exist: a pure ``StateVector``, and a
+``Mixture`` sum_k w_k |psi_k><psi_k| + u I/2^n of pure members plus white
+noise, which holds trajectory mixtures, spectral decompositions and
+depolarizing noise alike.  Both share one interface, so no other module
+branches on the type:
 
   n                  -- qubit count
-  entries(rows, cols) -- the matrix elements rho[rows, cols] (broadcast)
-  xor_diagonals(ax)  -- rows rho[x, x ^ ax_j] over x, one per word ax_j;
-                        every Pauli expectation and Hadamard-test law is
-                        built from them
+  entries(rows, cols) -- the matrix elements rho[rows, cols] (broadcast);
+                        ``f2.xor_diagonals`` and ``density_matrix`` read
+                        rho through them
   born_laws(frames)  -- computational outcome law after each frame rotation
                         (frames as Z/X/Y label sequences or frame_codes)
   fidelity(psi)      -- <psi|rho|psi>
-  to_dense()         -- the density matrix as a DenseState
   pure_ensemble()    -- (w, amps, u): rho = sum_k w_k |amps_k><amps_k|
                         + u I/2^n, the form the shot engine samples from
-  depolarized_from(psi) -- p when rho is (1-p)|psi><psi| + p I/2^n by
-                        construction (0 for psi itself), else None
 """
 
 from __future__ import annotations
@@ -76,14 +74,8 @@ class StateVector:
             raise NumericalHealthError("cannot normalize the zero vector")
         return cls(n, amps / norm)
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.amplitudes, np.conj(self.amplitudes))
-
     def entries(self, rows, cols) -> np.ndarray:
         return self.amplitudes[rows] * np.conj(self.amplitudes[cols])
-
-    def xor_diagonals(self, ax) -> np.ndarray:
-        return self.entries(*_xor_pairs(self.n, ax))
 
     def born_laws(self, frames) -> np.ndarray:
         rows = _rotate_leading(self.amplitudes, frame_codes(frames, self.n))
@@ -92,14 +84,8 @@ class StateVector:
     def fidelity(self, psi: "StateVector") -> float:
         return float(abs(np.vdot(psi.amplitudes, self.amplitudes)) ** 2)
 
-    def to_dense(self) -> "DenseState":
-        return DenseState(self.n, self.projector())
-
     def pure_ensemble(self):
         return np.ones(1), self.amplitudes[None, :], 0.0
-
-    def depolarized_from(self, psi: "StateVector"):
-        return 0.0 if np.array_equal(self.amplitudes, psi.amplitudes) else None
 
 
 class PhaseFunction:
@@ -163,142 +149,62 @@ class PhaseFunction:
 
 
 @dataclass(frozen=True)
-class DenseState:
-    """Mixed state as a dense 2^n x 2^n density matrix."""
+class Mixture:
+    """sum_k weights[k] |members[k]><members[k]| + mixed I/2^n, with pure
+    members, in O(len(members) 2^n) memory: every law below is the
+    weighted sum of the members' laws plus ``mixed`` times that of I/2^n."""
 
     n: int
-    matrix: np.ndarray = field(repr=False)
+    weights: tuple
+    members: tuple
+    mixed: float = 0.0
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 1 << self.n
-        if mat.shape != (dim, dim):
-            raise DimensionError(f"expected {(dim, dim)} matrix, got {mat.shape}")
-        if abs(np.trace(mat).real - 1.0) > 1e-9 or abs(np.trace(mat).imag) > 1e-9:
-            raise NumericalHealthError(f"trace = {np.trace(mat)}, expected 1")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
-            raise NumericalHealthError("matrix is not Hermitian within 1e-12")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    def entries(self, rows, cols) -> np.ndarray:
-        return self.matrix[rows, cols]
-
-    def xor_diagonals(self, ax) -> np.ndarray:
-        return self.entries(*_xor_pairs(self.n, ax))
-
-    def born_laws(self, frames) -> np.ndarray:
-        u = _kron_gates(frame_codes(frames, self.n))
-        return np.real(np.einsum("fij,jk,fik->fi", u, self.matrix, np.conj(u)))
-
-    def fidelity(self, psi: StateVector) -> float:
-        return float(np.vdot(psi.amplitudes, self.matrix @ psi.amplitudes).real)
-
-    def to_dense(self) -> "DenseState":
-        return self
-
-    def pure_ensemble(self):
-        vals, vecs = np.linalg.eigh(self.matrix)
-        keep = vals > 0.0
-        return vals[keep] / vals[keep].sum(), vecs[:, keep].T, 0.0
-
-    def depolarized_from(self, psi: StateVector):
-        return None
-
-
-@dataclass(frozen=True)
-class TrajectoryMixture:
-    """Mixed state as a weighted list of pure components."""
-
-    n: int
-    components: tuple[tuple[float, StateVector], ...]
-
-    def __post_init__(self) -> None:
-        comps = tuple((float(w), psi) for w, psi in self.components)
-        if not comps:
-            raise DimensionError("mixture needs at least one component")
-        if any(w < -1e-12 for w, _ in comps):
+        weights = tuple(float(w) for w in self.weights)
+        members = tuple(self.members)
+        mixed = float(self.mixed)
+        if len(weights) != len(members):
+            raise DimensionError(f"{len(weights)} weights for {len(members)} members")
+        if not 0.0 <= mixed <= 1.0:
+            raise ValueError(f"mixed={mixed} outside [0, 1]")
+        if any(w < -1e-12 for w in weights):
             raise NumericalHealthError("negative mixture weight")
-        if any(psi.n != self.n for _, psi in comps):
-            raise DimensionError("component qubit count mismatch")
-        total = sum(w for w, _ in comps)
+        if any(psi.n != self.n for psi in members):
+            raise DimensionError("member qubit count mismatch")
+        total = sum(weights) + mixed
         if abs(total - 1.0) > 1e-9:
             raise NumericalHealthError(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "components", comps)
-
-    def entries(self, rows, cols) -> np.ndarray:
-        return sum(w * psi.entries(rows, cols) for w, psi in self.components)
-
-    def xor_diagonals(self, ax) -> np.ndarray:
-        return self.entries(*_xor_pairs(self.n, ax))
-
-    def born_laws(self, frames) -> np.ndarray:
-        return sum(w * psi.born_laws(frames) for w, psi in self.components)
-
-    def fidelity(self, psi: StateVector) -> float:
-        return float(sum(w * comp.fidelity(psi) for w, comp in self.components))
-
-    def to_dense(self) -> DenseState:
-        mat = sum(w * psi.projector() for w, psi in self.components)
-        return DenseState(self.n, mat)
-
-    def pure_ensemble(self):
-        weights = np.array([w for w, _ in self.components])
-        amps = np.array([psi.amplitudes for _, psi in self.components])
-        return weights, amps, 0.0
-
-    def depolarized_from(self, psi: StateVector):
-        return None
-
-
-@dataclass(frozen=True)
-class Depolarized:
-    """(1-p)|psi><psi| + p I/2^n in closed form, in O(2^n) memory: every
-    law below is (1-p) times that of psi plus p times that of I/2^n."""
-
-    psi: StateVector
-    p: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p={self.p} outside [0, 1]")
-        object.__setattr__(self, "p", float(self.p))
-
-    @property
-    def n(self) -> int:
-        return self.psi.n
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "mixed", mixed)
 
     def entries(self, rows, cols) -> np.ndarray:
         # I/2^n has entries [row = col] / 2^n
-        mixed = (np.asarray(rows) == np.asarray(cols)) / (1 << self.n)
-        return (1.0 - self.p) * self.psi.entries(rows, cols) + self.p * mixed
-
-    def xor_diagonals(self, ax) -> np.ndarray:
-        return self.entries(*_xor_pairs(self.n, ax))
+        white = self.mixed * ((np.asarray(rows) == np.asarray(cols)) / (1 << self.n))
+        return sum((w * psi.entries(rows, cols)
+                    for w, psi in zip(self.weights, self.members)), white)
 
     def born_laws(self, frames) -> np.ndarray:
-        return (1.0 - self.p) * self.psi.born_laws(frames) + self.p / (1 << self.n)
+        codes = frame_codes(frames, self.n)
+        white = np.full((len(codes), 1 << self.n), self.mixed / (1 << self.n))
+        return sum((w * psi.born_laws(codes)
+                    for w, psi in zip(self.weights, self.members)), white)
 
     def fidelity(self, psi: StateVector) -> float:
-        return (1.0 - self.p) * self.psi.fidelity(psi) + self.p / (1 << self.n)
-
-    def to_dense(self) -> DenseState:
-        dim = 1 << self.n
-        return DenseState(self.n, (1.0 - self.p) * self.psi.projector()
-                          + self.p * np.eye(dim) / dim)
+        return float(sum((w * member.fidelity(psi)
+                          for w, member in zip(self.weights, self.members)),
+                         self.mixed / (1 << self.n)))
 
     def pure_ensemble(self):
-        return np.array([1.0 - self.p]), self.psi.amplitudes[None, :], self.p
+        amps = np.array([psi.amplitudes for psi in self.members],
+                        dtype=complex).reshape(-1, 1 << self.n)
+        return np.array(self.weights), amps, self.mixed
 
-    def depolarized_from(self, psi: StateVector):
-        return self.p if self.psi.depolarized_from(psi) == 0.0 else None
 
-
-def _xor_pairs(n: int, ax):
-    """Index arrays x and x ^ ax[j], broadcast to shape (len(ax), 2^n)."""
-    x = np.arange(1 << n)
-    return x, x ^ np.asarray(ax, dtype=np.int64)[:, None]
+def density_matrix(state) -> np.ndarray:
+    """The 2^n x 2^n density matrix of any state: entries over all (x, y)."""
+    x = np.arange(1 << state.n)
+    return state.entries(x[:, None], x[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +260,9 @@ def phase_strip(psi: StateVector):
     return StateVector(psi.n, moduli.astype(complex)), phi
 
 
-def depolarize(psi: StateVector, p: float) -> Depolarized:
+def depolarize(psi: StateVector, p: float) -> Mixture:
     """(1-p)|psi><psi| + p I/2^n, held in closed form."""
-    return Depolarized(psi, p)
+    return Mixture(psi.n, (1.0 - p,), (psi,), p)
 
 
 def depolarizing_p_for_fidelity(n: int, fidelity: float) -> float:
@@ -422,10 +328,16 @@ def random_real_mps(n: int, chi: int, rng: np.random.Generator) -> RealMPS:
     return RealMPS(n, chi, gammas * norm2 ** (-0.5 / n), left, right)
 
 
-def mps_to_statevector(m: RealMPS, n_cap: int = 12, chi_cap: int = 8) -> StateVector:
+#: largest qubit count and bond dimension contracted to a dense vector
+MPS_QUBIT_CAP = 12
+MPS_BOND_CAP = 8
+
+
+def mps_to_statevector(m: RealMPS) -> StateVector:
     """Contract an MPS to a dense (real) state vector, left to right."""
-    if m.n > n_cap or m.chi > chi_cap:
-        raise CapExceededError(f"conversion capped at n<={n_cap}, chi<={chi_cap}")
+    if m.n > MPS_QUBIT_CAP or m.chi > MPS_BOND_CAP:
+        raise CapExceededError(
+            f"conversion capped at n<={MPS_QUBIT_CAP}, chi<={MPS_BOND_CAP}")
     acc = m.left.reshape(1, m.chi)  # (#prefixes, chi)
     for i in range(m.n):
         acc = np.einsum("pa,xab->pxb", acc, m.gammas[i]).reshape(-1, m.chi)

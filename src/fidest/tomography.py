@@ -1,7 +1,8 @@
 """l2 state tomography via mutually unbiased bases: MUB construction
 from GF(2^n) symplectic spreads (n <= 4), per-basis coefficient
 estimation, simplex projection, the linear reconstruction identity, and
-projection back onto the density-matrix cone.
+projection back onto the density-matrix cone.  States in and out are
+density matrices (``np.ndarray``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
 from .f2 import PauliPoint, symplectic_product
-from .states import DenseState
 
 MUB_QUBIT_CAP = 4
 
@@ -180,17 +180,16 @@ class CoefficientTable:
     projected: np.ndarray = field(repr=False)  # simplex-projected rows
 
 
-def exact_rows(rho, fam: MUBFamily) -> np.ndarray:
+def exact_rows(rho: np.ndarray, fam: MUBFamily) -> np.ndarray:
     """Exact Born rows <phi|rho|phi> for every basis (test/limit oracle)."""
-    dense = rho.to_dense()
     rows = np.empty((len(fam.bases), 1 << fam.n))
     for j, b in enumerate(fam.bases):
         rows[j] = np.real(np.einsum("ik,ij,jk->k", np.conj(b.vectors),
-                                    dense.matrix, b.vectors))
+                                    rho, b.vectors))
     return np.clip(rows, 0.0, None)
 
 
-def estimate_coefficients(rho, fam: MUBFamily, shots: int,
+def estimate_coefficients(rho: np.ndarray, fam: MUBFamily, shots: int,
                           rng: np.random.Generator) -> CoefficientTable:
     """Measure `shots` copies in each basis; empirical frequencies per
     row, simplex-projected.  shots=0 returns the exact rows."""
@@ -231,7 +230,7 @@ def reconstruct(table: CoefficientTable, fam: MUBFamily) -> np.ndarray:
     return acc - np.eye(dim)
 
 
-def psd_project(h: np.ndarray) -> DenseState:
+def psd_project(h: np.ndarray) -> np.ndarray:
     """The l2-closest density matrix: project the spectrum onto the
     simplex, keep the eigenvectors."""
     h = np.asarray(h, dtype=complex)
@@ -241,16 +240,15 @@ def psd_project(h: np.ndarray) -> DenseState:
     # result does not depend on the basis chosen in a degenerate eigenspace.
     vals, vecs = np.linalg.eigh(h)
     pvals = simplex_project(vals)
-    n = h.shape[0].bit_length() - 1
-    return DenseState(n, (vecs * pvals[None, :]) @ vecs.conj().T)
+    return (vecs * pvals[None, :]) @ vecs.conj().T
 
 
-def tomography_pipeline(rho, n: int, shots: int, seed: int = 0):
+def tomography_pipeline(rho: np.ndarray, n: int, shots: int, seed: int = 0):
     """Full chain mub -> estimate -> project -> reconstruct -> psd_project.
-    Returns (DenseState estimate, l2 error against the known input)."""
+    Returns (density-matrix estimate, l2 error against the known input)."""
     fam = mub_family(n)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     table = estimate_coefficients(rho, fam, shots, rng)
     est = psd_project(reconstruct(table, fam))
-    return est, float(np.linalg.norm(est.matrix - rho.to_dense().matrix))
+    return est, float(np.linalg.norm(est - rho))
 

@@ -1,14 +1,15 @@
 """Test-input builders and reference formulas that `fidest` itself never
-needs: gates applied to amplitude arrays, an MPS amplitude read by direct
-contraction, dense <-> packed F2 matrices, and two closed forms the Haar
-and Dirichlet tests compare against."""
+needs: gates applied to amplitude arrays, a density matrix as the
+mixture of its eigenvectors, an MPS amplitude read by direct contraction,
+dense <-> packed F2 matrices, and two closed forms the Haar and Dirichlet
+tests compare against."""
 
 import math
 
 import numpy as np
 
 from fidest.f2 import F2Matrix
-from fidest.states import PhaseFunction, RealMPS, StateVector
+from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
 
 def apply_phase(phi: PhaseFunction, psi: StateVector) -> StateVector:
@@ -20,6 +21,17 @@ def apply_single_qubit(amps: np.ndarray, n: int, i: int, gate: np.ndarray) -> np
     """A 2x2 gate applied to 1-based qubit i of an amplitude array."""
     shaped = amps.reshape((1 << (i - 1), 2, 1 << (n - i)))
     return np.einsum("st,atb->asb", gate, shaped).reshape(amps.shape)
+
+
+def spectral_mixture(matrix) -> Mixture:
+    """A density matrix as the Mixture of its eigenvectors, weighted by
+    the positive part of its spectrum: the same rho as any other ensemble
+    for it, from different members."""
+    vals, vecs = np.linalg.eigh(matrix)
+    keep = vals > 0.0
+    n = matrix.shape[0].bit_length() - 1
+    return Mixture(n, tuple(vals[keep] / vals[keep].sum()),
+                   tuple(StateVector(n, v) for v in vecs[:, keep].T))
 
 
 def mps_amplitude(mps: RealMPS, x: int) -> float:

@@ -249,7 +249,7 @@ def test_criterion_6b_complete_graph_bounds_bracket():
     for n in (5, 6, 7):
         target, _ = states.hypergraph_state(
             n, states.complete_3_hypergraph_edges(n))
-        rho = states.TrajectoryMixture(n, ((1.0, target),))
+        rho = states.Mixture(n, (1.0,), (target,))
         rep = estimation.run_estimator("dfe", target, rho, shots=100_000,
                                        seed=25)
         second = float(np.mean(rep.values ** 2))
@@ -315,14 +315,13 @@ def test_criterion_8_tomography():
             (dim, dim))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        _, err = tomography.tomography_pipeline(states.DenseState(n, rho), n,
-                                                shots=0, seed=j)
+        _, err = tomography.tomography_pipeline(rho, n, shots=0, seed=j)
         worst = max(worst, err)
     exact_ok = worst < 1e-9
 
     # (b) finite-shot error ~ shots^(-0.5 +- 0.1)
     psi = states.haar_random(2, rng)
-    rho = states.depolarize(psi, 0.2)
+    rho = states.density_matrix(states.depolarize(psi, 0.2))
     ladder = (400, 1600, 6400, 25600)
     errs = []
     for shots in ladder:
@@ -341,8 +340,8 @@ def test_criterion_8_tomography():
         nonexp_ok &= np.linalg.norm(du - dv) <= np.linalg.norm(u - v) + 1e-9
         g1, g2 = rng.standard_normal((2, 4, 4))
         h1, h2 = (g1 + g1.T).astype(complex), (g2 + g2.T).astype(complex)
-        p1 = tomography.psd_project(h1).matrix
-        p2 = tomography.psd_project(h2).matrix
+        p1 = tomography.psd_project(h1)
+        p2 = tomography.psd_project(h2)
         nonexp_ok &= np.linalg.norm(p1 - p2) <= np.linalg.norm(h1 - h2) + 1e-9
     _report("criterion 8 (MUB tomography)",
             exact_ok and slope_ok and nonexp_ok,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fidest import cli, estimation, samplers, states
 from fidest.errors import ConfigError
 from fidest.f2 import PauliPoint, pauli_coefficients
+from reference import spectral_mixture
 
 
 def random_pure_pair(n, rng):
@@ -61,7 +62,7 @@ class TestDFE:
 
     def test_stabilizer_target_deterministic(self):
         zero = states.StateVector(2, np.eye(4, dtype=complex)[0])
-        rho = states.TrajectoryMixture(2, ((1.0, zero),))
+        rho = states.Mixture(2, (1.0,), (zero,))
         rep = estimation.run_estimator("dfe", zero, rho, shots=30, seed=3)
         assert np.allclose(rep.values, 1.0, atol=1e-12, rtol=0)
 
@@ -89,7 +90,7 @@ class TestFOFE:
         # every shot value is +-norm_sum for the uniform-X sampler.
         psi, phi = states.hypergraph_state(
             3, states.complete_3_hypergraph_edges(3))
-        rho = states.TrajectoryMixture(3, ((1.0, psi),))
+        rho = states.Mixture(3, (1.0,), (psi,))
         sampler = samplers.UniformXSampler(3, 0.5)
         rng = np.random.default_rng(5)
         res = estimation.fofe_multi_target(rho, sampler, [phi], 40, rng)
@@ -135,7 +136,7 @@ class TestMultiTarget:
         phases = [states.PhaseFunction.from_polynomial(
             n, [(1, 2, 3)] if j % 2 else [(1, 2)]) for j in range(m)]
         plus = states.StateVector(n, np.full(8, 2 ** -1.5, dtype=complex))
-        rho = states.TrajectoryMixture(n, ((1.0, plus),))
+        rho = states.Mixture(n, (1.0,), (plus,))
         sampler = samplers.UniformXSampler(n, 0.5)
         res = estimation.fofe_multi_target(rho, sampler, phases, shots, rng,
                                            stripped=plus)
@@ -282,7 +283,7 @@ class TestRunEstimator:
 
     def test_bad_scheme_and_alpha(self):
         target = states.StateVector(1, np.array([1, 0], dtype=complex))
-        rho = states.TrajectoryMixture(1, ((1.0, target),))
+        rho = states.Mixture(1, (1.0,), (target,))
         with pytest.raises(ConfigError):
             estimation.run_estimator("zfe", target, rho, shots=10)
         with pytest.raises(ConfigError):
@@ -292,9 +293,9 @@ class TestRunEstimator:
 def explicit_depolarized(psi, p):
     """The (2^n + 1)-component trajectory mixture that depolarize replaces."""
     dim = 1 << psi.n
-    basis = tuple((p / dim, states.StateVector(psi.n, np.eye(dim, dtype=complex)[x]))
+    basis = tuple(states.StateVector(psi.n, np.eye(dim, dtype=complex)[x])
                   for x in range(dim))
-    return states.TrajectoryMixture(psi.n, ((1.0 - p, psi),) + basis)
+    return states.Mixture(psi.n, (1.0 - p,) + (p / dim,) * dim, (psi,) + basis)
 
 
 noisy_targets = st.tuples(st.integers(1, 4), st.integers(0, 2**32 - 1),
@@ -388,7 +389,7 @@ class TestExactLawOracles:
         n = 2
         mixed = states.depolarize(states.haar_random(n, np.random.default_rng(0)),
                                   1.0)
-        dense = states.DenseState(n, np.eye(4) / 4)
+        dense = states.Mixture(n, (), (), 1.0)
         b1, b = np.arange(8) >> n, np.arange(8) & 3
         for index in range(16):
             a = PauliPoint.from_index(n, index)
@@ -411,11 +412,12 @@ class TestExactLawOracles:
 
 
 def state_kinds(psi, rng):
-    """psi as each state type: pure, closed-form noise, dense, mixture."""
+    """psi in each form of state: pure, one member plus white noise, the
+    spectral ensemble of that noisy state, and a trajectory mixture."""
     other = states.haar_random(psi.n, rng)
     noisy = states.depolarize(psi, 0.3)
-    return (psi, noisy, noisy.to_dense(),
-            states.TrajectoryMixture(psi.n, ((0.4, psi), (0.6, other))))
+    return (psi, noisy, spectral_mixture(states.density_matrix(noisy)),
+            states.Mixture(psi.n, (0.4, 0.6), (psi, other)))
 
 
 def assert_frequencies(outcomes, rows, laws):
@@ -452,8 +454,8 @@ class TestOutcomeSamplers:
         for rho in state_kinds(states.haar_random(n, rng), rng):
             laws = np.clip(rho.born_laws(codes), 0, None)
             rows = rng.integers(0, codes.shape[0], 120_000)
-            out = estimation._frame_outcomes(rho, codes, rows,
-                                             rng.random((3, rows.size)))
+            out = estimation._frame_outcomes(rho, codes)(
+                rows, rng.random((3, rows.size)))
             assert_frequencies(out, rows, laws)
 
     @settings(max_examples=25, deadline=None)
@@ -471,7 +473,8 @@ class TestOutcomeSamplers:
                                atol=1e-12, rtol=0)
         # any other state has no table, however equal its matrix
         for rho in (explicit_depolarized(target, p),
-                    states.depolarize(target, p).to_dense(),
+                    spectral_mixture(states.density_matrix(
+                        states.depolarize(target, p))),
                     states.depolarize(states.haar_random(n, rng), p)):
             assert estimation._table_expectations(rho, target, coeffs) is None
 

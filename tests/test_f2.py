@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fidest import f2
 from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
-from fidest.states import StateVector, haar_random
+from fidest.states import StateVector, density_matrix, haar_random
 from reference import f2_from_dense
 
 I2 = np.eye(2, dtype=complex)
@@ -114,7 +114,7 @@ class TestPauliExpectation:
     def test_matches_dense_trace(self):
         rng = np.random.default_rng(3)
         psi = haar_random(2, rng)
-        rho = psi.projector()
+        rho = density_matrix(psi)
         for idx in range(16):
             a = f2.PauliPoint.from_index(2, idx)
             want = np.trace(rho @ dense_pauli(a)).real
@@ -124,8 +124,8 @@ class TestPauliExpectation:
         class Skewed:  # XOR diagonals of a matrix that is not Hermitian
             n = 1
 
-            def xor_diagonals(self, ax):
-                return np.array([[0.5, 0.5 + 1e-6j]] * len(ax))
+            def entries(self, rows, cols):
+                return np.array([[0.5, 0.5 + 1e-6j]] * len(cols))
 
         with pytest.raises(NumericalHealthError):
             f2.pauli_expectation_rows(Skewed(), [1])
@@ -151,7 +151,7 @@ class TestPauliCoefficients:
         rng = np.random.default_rng(5)
         psi = haar_random(2, rng)
         c = f2.pauli_coefficients(psi)
-        rho = psi.projector()
+        rho = density_matrix(psi)
         for idx in range(16):
             a = f2.PauliPoint.from_index(2, idx)
             want = np.trace(rho @ dense_pauli(a)).real / 4

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fidest import f2, states
-from fidest.errors import CapExceededError, DimensionError
-from reference import apply_phase, mps_amplitude
+from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
+from reference import apply_phase, mps_amplitude, spectral_mixture
 
 
 class TestStateVector:
     def test_norm_check(self):
-        from fidest.errors import NumericalHealthError
         with pytest.raises(NumericalHealthError):
             states.StateVector(1, np.array([1.0, 1.0], dtype=complex))
 
@@ -22,7 +21,7 @@ class TestStateVector:
 
     def test_projector_is_rank_one(self):
         psi = states.haar_random(2, np.random.default_rng(0))
-        rho = psi.projector()
+        rho = states.density_matrix(psi)
         assert np.allclose(rho, rho.conj().T)
         assert np.trace(rho).real == pytest.approx(1.0)
         assert np.allclose(rho @ rho, rho)
@@ -127,19 +126,19 @@ class TestDepolarize:
         # and every computational basis state (weight p/2^n).
         psi = states.haar_random(2, np.random.default_rng(5))
         mix = states.depolarize(psi, 0.2)
-        assert mix.p == pytest.approx(0.2) and mix.psi is psi
-        explicit = states.TrajectoryMixture(2, ((0.8, psi),) + tuple(
-            (0.05, states.StateVector(2, np.eye(4, dtype=complex)[x]))
+        assert mix.mixed == pytest.approx(0.2) and mix.members[0] is psi
+        explicit = states.Mixture(2, (0.8,) + (0.05,) * 4, (psi,) + tuple(
+            states.StateVector(2, np.eye(4, dtype=complex)[x])
             for x in range(4)))
-        assert np.allclose(mix.to_dense().matrix, explicit.to_dense().matrix,
-                           atol=1e-15)
+        assert np.allclose(states.density_matrix(mix),
+                           states.density_matrix(explicit), atol=1e-15)
 
     def test_to_dense_matches_channel(self):
         rng = np.random.default_rng(6)
         psi = states.haar_random(2, rng)
         p = 0.3
-        rho = states.depolarize(psi, p).to_dense().matrix
-        want = (1 - p) * psi.projector() + p * np.eye(4) / 4
+        rho = states.density_matrix(states.depolarize(psi, p))
+        want = (1 - p) * states.density_matrix(psi) + p * np.eye(4) / 4
         assert np.allclose(rho, want)
 
     def test_fidelity_inversion(self):
@@ -153,27 +152,83 @@ class TestDepolarize:
         mix = states.depolarize(psi, 0.25)
         want = 0.75 + 0.25 / 8
         assert states.exact_fidelity(mix, psi) == pytest.approx(want)
-        assert states.exact_fidelity(mix.to_dense(), psi) == pytest.approx(want)
+        assert states.exact_fidelity(spectral_mixture(states.density_matrix(mix)),
+                                     psi) == pytest.approx(want)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_pure_ensemble_and_entries_rebuild_the_state(self, n):
         # sum_k w_k |a_k><a_k| + u I/2^n, and entries(x, y) over the full
-        # grid, give back the density matrix of every state type
+        # grid, give back the density matrix of every form of state
         rng = np.random.default_rng(8 + n)
         psi, other = states.haar_random(n, rng), states.haar_random(n, rng)
-        noisy = states.depolarize(psi, 0.35)
         dim = 1 << n
-        for rho in (psi, noisy, noisy.to_dense(),
-                    states.TrajectoryMixture(n, ((0.3, psi), (0.7, other)))):
+        pure = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        noisy = 0.65 * pure + 0.35 * np.eye(dim) / dim
+        cases = ((psi, pure), (states.depolarize(psi, 0.35), noisy),
+                 (spectral_mixture(noisy), noisy),
+                 (states.Mixture(n, (0.3, 0.7), (psi, other)),
+                  0.3 * pure + 0.7 * np.outer(other.amplitudes,
+                                              other.amplitudes.conj())))
+        for rho, want in cases:
             weights, amps, mixed = rho.pure_ensemble()
             assert weights.sum() + mixed == pytest.approx(1.0, abs=1e-12)
             rebuilt = (np.einsum("k,ki,kj->ij", weights, amps, amps.conj())
                        + mixed * np.eye(dim) / dim)
-            want = rho.to_dense().matrix
             assert np.allclose(rebuilt, want, atol=1e-12, rtol=0)
             x = np.arange(dim)
             assert np.allclose(rho.entries(x[:, None], x[None, :]), want,
                                atol=1e-15, rtol=0)
+
+
+class TestMixture:
+    def _members(self):
+        rng = np.random.default_rng(20)
+        return states.haar_random(2, rng), states.haar_random(2, rng)
+
+    def test_rejects_negative_weight(self):
+        psi, other = self._members()
+        with pytest.raises(NumericalHealthError):
+            states.Mixture(2, (1.1, -0.1), (psi, other))
+
+    @pytest.mark.parametrize("weights, mixed", [((0.5, 0.4), 0.0),
+                                                ((0.5, 0.5), 0.1)])
+    def test_rejects_total_other_than_one(self, weights, mixed):
+        psi, other = self._members()
+        with pytest.raises(NumericalHealthError):
+            states.Mixture(2, weights, (psi, other), mixed)
+
+    def test_rejects_member_of_other_qubit_count(self):
+        psi, _ = self._members()
+        small = states.haar_random(1, np.random.default_rng(21))
+        with pytest.raises(DimensionError):
+            states.Mixture(2, (0.5, 0.5), (psi, small))
+
+    @pytest.mark.parametrize("mixed", [-0.1, 1.5])
+    def test_rejects_mixed_outside_unit_interval(self, mixed):
+        psi, _ = self._members()
+        with pytest.raises(ValueError):
+            states.Mixture(2, (1.0 - mixed,), (psi,), mixed)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_depolarize_rejects_p_outside_unit_interval(self, p):
+        psi, _ = self._members()
+        with pytest.raises(ValueError):
+            states.depolarize(psi, p)
+
+    def test_rejects_weight_count_other_than_member_count(self):
+        psi, other = self._members()
+        with pytest.raises(DimensionError):
+            states.Mixture(2, (1.0,), (psi, other))
+
+    def test_white_noise_alone_is_maximally_mixed(self):
+        n = 2
+        white = states.Mixture(n, (), (), 1.0)
+        psi, _ = self._members()
+        assert np.array_equal(states.density_matrix(white), np.eye(4) / 4)
+        assert np.array_equal(white.born_laws([("X", "Y")]), np.full((1, 4), 1 / 4))
+        assert white.fidelity(psi) == 1 / 4
+        weights, amps, mixed = white.pure_ensemble()
+        assert weights.size == 0 and amps.shape == (0, 4) and mixed == 1.0
 
 
 class TestMPS:
@@ -250,5 +305,5 @@ class TestMeasurement:
         frame = ("X", "Y")
         probs = mix.born_laws([frame])[0]
         assert probs.sum() == pytest.approx(1.0)
-        assert np.allclose(probs, mix.to_dense().born_laws([frame])[0],
-                           atol=1e-12)
+        spectral = spectral_mixture(states.density_matrix(mix))
+        assert np.allclose(probs, spectral.born_laws([frame])[0], atol=1e-12)

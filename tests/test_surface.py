@@ -5,23 +5,24 @@ so that no surface lives on for its own tests only.
 A definition counts as referenced when its name appears as a name or an
 attribute anywhere in `src/fidest` outside its own body; imports and
 `__all__` entries do not count.  A method whose name several classes
-define is held to more: a call through some other object's attribute
-cannot say which class it reaches, so such a method counts as referenced
-only through `self.<name>` inside its own class, or when its name
-belongs to one of the INTERFACES below, where any reference counts for
-every class of that module.  Dunder methods are called implicitly and
-are skipped.  The names in ALLOWED have no `src` caller on purpose.
+define, as a method or as an annotated field, is held to more: a read
+through some other object's attribute cannot say which class it reaches,
+so such a method counts as referenced only through `self.<name>` inside
+its own class, or when its name belongs to one of the INTERFACES below,
+where any reference counts for every class of that module.  Dunder
+methods are called implicitly and are skipped.  The names in ALLOWED
+have no `src` caller on purpose.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "fidest"
 
 #: module -> (method names every class of the module shares, why)
 INTERFACES = {
-    "states": ({"n", "entries", "xor_diagonals", "born_laws", "fidelity",
-                "to_dense", "pure_ensemble", "depolarized_from"},
+    "states": ({"n", "entries", "born_laws", "fidelity", "pure_ensemble"},
                "the state interface of the states docstring; no module "
                "branches on the state type"),
     "samplers": ({"draw", "distribution", "coefficients"},
@@ -56,9 +57,10 @@ ALLOWED = {
 
 
 def _scan():
-    """Each definition as (module, class node or None, node), and every
+    """Each definition as (module, class node or None, node), the names of
+    the annotated class-body fields as (class node, name), and every
     referenced identifier with the nodes that reference it."""
-    defs, refs = [], {}
+    defs, fields, refs = [], [], {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -67,12 +69,15 @@ def _scan():
             if isinstance(node, ast.ClassDef):
                 defs += [(path.stem, node, sub) for sub in node.body
                          if isinstance(sub, ast.FunctionDef)]
+                fields += [(node, sub.target.id) for sub in node.body
+                           if isinstance(sub, ast.AnnAssign)
+                           and isinstance(sub.target, ast.Name)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 refs.setdefault(node.id, []).append(node)
             elif isinstance(node, ast.Attribute):
                 refs.setdefault(node.attr, []).append(node)
-    return defs, refs
+    return defs, fields, refs
 
 
 def _is_self_ref(ref) -> bool:
@@ -81,11 +86,11 @@ def _is_self_ref(ref) -> bool:
 
 
 def _unreferenced():
-    defs, refs = _scan()
+    defs, fields, refs = _scan()
     classes_defining = {}
-    for _, cls, node in defs:
-        if cls is not None:
-            classes_defining.setdefault(node.name, set()).add(id(cls))
+    for cls, name in fields + [(cls, node.name) for _, cls, node in defs
+                               if cls is not None]:
+        classes_defining.setdefault(name, set()).add(id(cls))
     out = []
     for module, cls, node in defs:
         name = node.name
@@ -113,3 +118,16 @@ def test_allowlist_holds_only_unreferenced_definitions():
     # an entry that gains a src caller, or is deleted, leaves the list
     stale = sorted(set(ALLOWED) - set(_unreferenced()))
     assert not stale, f"ALLOWED entries that are referenced or gone: {stale}"
+
+
+def test_field_of_one_class_does_not_reference_another_class_method(
+        tmp_path, monkeypatch):
+    # g.weight reads the field of Group; it must not count as a call of
+    # the unused method Point.weight
+    (tmp_path / "demo.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Group:\n    weight: float\n\n\n"
+        "class Point:\n    def weight(self):\n        return 1\n\n\n"
+        "def total(groups):\n    return sum(g.weight for g in groups)\n")
+    monkeypatch.setattr(sys.modules[__name__], "SRC", tmp_path)
+    assert "demo.Point.weight" in _unreferenced()

@@ -156,8 +156,7 @@ class TestReconstruction:
         fam = tomography.mub_family(n)
         for _ in range(5):
             rho = random_density(n, rng)
-            table = tomography.estimate_coefficients(
-                states.DenseState(n, rho), fam, 0, rng)
+            table = tomography.estimate_coefficients(rho, fam, 0, rng)
             back = tomography.reconstruct(table, fam)
             assert np.max(np.abs(back - rho)) < 1e-9
 
@@ -165,13 +164,13 @@ class TestReconstruction:
         rng = np.random.default_rng(5)
         rho = random_density(2, rng)
         out = tomography.psd_project(rho)
-        assert np.max(np.abs(out.matrix - rho)) < 1e-9
+        assert np.max(np.abs(out - rho)) < 1e-9
 
     def test_psd_project_properties(self):
         rng = np.random.default_rng(6)
         g = rng.standard_normal((8, 8))
         h = (g + g.T).astype(complex)
-        out = tomography.psd_project(h).matrix
+        out = tomography.psd_project(h)
         vals = np.linalg.eigvalsh(out)
         assert vals.min() > -1e-10
         assert np.trace(out).real == pytest.approx(1.0)
@@ -182,8 +181,8 @@ class TestReconstruction:
             g1 = rng.standard_normal((4, 4))
             g2 = rng.standard_normal((4, 4))
             h1, h2 = (g1 + g1.T).astype(complex), (g2 + g2.T).astype(complex)
-            p1 = tomography.psd_project(h1).matrix
-            p2 = tomography.psd_project(h2).matrix
+            p1 = tomography.psd_project(h1)
+            p2 = tomography.psd_project(h2)
             assert np.linalg.norm(p1 - p2) <= np.linalg.norm(h1 - h2) + 1e-9
 
 
@@ -191,14 +190,14 @@ class TestPipeline:
     def test_exact_shots_zero(self):
         rng = np.random.default_rng(8)
         psi = states.haar_random(2, rng)
-        rho = states.depolarize(psi, 0.3)
+        rho = states.density_matrix(states.depolarize(psi, 0.3))
         est, err = tomography.tomography_pipeline(rho, 2, shots=0, seed=0)
         assert err < 1e-9
 
     def test_error_decreases_with_shots(self):
         rng = np.random.default_rng(9)
         psi = states.haar_random(2, rng)
-        rho = states.depolarize(psi, 0.2)
+        rho = states.density_matrix(states.depolarize(psi, 0.2))
         errs = []
         for shots in (100, 10000):
             # average over seeds to smooth the noise
@@ -210,9 +209,9 @@ class TestPipeline:
     def test_deterministic(self):
         rng = np.random.default_rng(10)
         psi = states.haar_random(2, rng)
-        rho = states.depolarize(psi, 0.2)
+        rho = states.density_matrix(states.depolarize(psi, 0.2))
         e1 = tomography.tomography_pipeline(rho, 2, 500, seed=42)
         e2 = tomography.tomography_pipeline(rho, 2, 500, seed=42)
-        assert np.array_equal(e1[0].matrix, e2[0].matrix)
+        assert np.array_equal(e1[0], e2[0])
         assert e1[1] == e2[1]
 
