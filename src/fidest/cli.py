@@ -141,9 +141,6 @@ def cmd_haar_scan(args) -> ResultTable:
 
 
 def cmd_nldfe_compare(args) -> ResultTable:
-    if args.nmax > estimation.QWC_QUBIT_CAP:
-        raise CapExceededError(
-            f"nldfe-compare capped at n <= {estimation.QWC_QUBIT_CAP}")
     table = ResultTable(
         columns=["n", "mean_l1", "mean_w", "improvement", "nldfe_variance",
                  "dfe_variance"],
@@ -554,6 +551,14 @@ def _validate(args) -> None:
         raise CapExceededError("dense coefficient work capped at n <= 10")
     if args.command == "fig2a" and args.n > 10:
         raise CapExceededError("fig2a capped at n <= 10")
+    if (args.command == "nldfe-compare"
+            and args.nmax > estimation.QWC_QUBIT_CAP):
+        raise CapExceededError(
+            f"nldfe-compare capped at n <= {estimation.QWC_QUBIT_CAP}")
+    if (args.command == "run" and args.scheme == "nldfe"
+            and args.n > estimation.QWC_QUBIT_CAP):
+        raise CapExceededError("QWC partition needs 3^n 2^n work; capped at "
+                               f"n <= {estimation.QWC_QUBIT_CAP}")
     if (args.command == "hypergraph-bounds"
             and args.nmax > magic.SAMPLED_RANK_QUBIT_CAP):
         raise CapExceededError("hypergraph-bounds capped at n <= "

@@ -7,7 +7,8 @@ All three run on one batched shot engine:
 
 1. draw every shot's label at once (for DFE and FOFE a Pauli point, carried
    as a word pair (ax, az) from the sampler's draw to post-processing; for
-   NLDFE a QWC group);
+   NLDFE a row of the partition's group record array, ``frame``, ``chat``
+   and ``weight`` per group, built with no Python object per group);
 2. draw every shot's outcome exactly from its label's outcome law, with a
    mixed state's trajectory component marginalised out, at a cost per
    shot that does not grow with the number of distinct labels drawn:
@@ -27,7 +28,6 @@ check the estimators and the outcome draws against.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,8 +39,8 @@ from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, PauliPoint,
                  pauli_coefficients, pauli_expectation_rows, pauli_phase,
                  popcount_array, xor_diagonals)
 from .samplers import CdfTable, ExactSampler, UniformXSampler
-from .states import (_FRAME_LABELS, PhaseFunction, StateVector, _kron_gates,
-                     _rotate_leading, exact_fidelity, phase_strip)
+from .states import (PhaseFunction, StateVector, _kron_gates, _rotate_leading,
+                     exact_fidelity, phase_strip)
 
 QWC_QUBIT_CAP = 9
 #: coefficients with |c| above this join a QWC group
@@ -419,22 +419,16 @@ def fofe_multi_target(rho, sampler, phases, shots: int,
 
 
 @dataclass(frozen=True)
-class QWCGroup:
-    frame: tuple  # per-qubit basis labels
-    coeffs: np.ndarray = field(repr=False)  # c^(S) over F2^n
-    chat: np.ndarray = field(repr=False)  # WHT of coeffs
-    weight: float  # ||chat||_inf
-    claimed: tuple  # Pauli indices claimed by this group
-
-
-@dataclass(frozen=True)
 class QWCPartition:
+    """The QWC groups as one record array, a record per group: ``frame``
+    (its frame as ``states.frame_codes``), ``chat`` (the WHT of c^(S),
+    c^(S) being the group's claimed coefficients at their frame positions)
+    and ``weight`` (||chat||_inf)."""
+
     n: int
-    groups: tuple
+    groups: np.recarray = field(repr=False)
     total_weight: float
     ordering: str
-    codes: np.ndarray = field(repr=False)  # group frames as states.frame_codes
-    chats: np.ndarray = field(repr=False)  # row k is groups[k].chat
 
 
 def _frame_masks(codes: np.ndarray, n: int):
@@ -461,13 +455,15 @@ def build_qwc_partition(coeffs: CoeffVector,
     taken in order (canonical: lexicographic, qubit 1 first;
     greedy-weight: by decreasing |c| of the frame's all-qubit Pauli), and
     each coefficient belongs to the first frame whose group contains it.
-    A Pauli a sits in frame position s = ax | az of its group."""
+    A Pauli a sits in frame position s = ax | az of its group.  Frames
+    that claim nothing get no record."""
     n = coeffs.n
     if n > QWC_QUBIT_CAP:
         raise CapExceededError(
             f"QWC partition needs 3^n 2^n work; capped at n <= {QWC_QUBIT_CAP}")
-    codes = np.array(list(itertools.product(range(3), repeat=n)),
-                     dtype=np.int64).reshape(3**n, n)
+    # frame k's codes are the base-3 digits of k, qubit 1 first
+    codes = (np.arange(3**n, dtype=np.int64)[:, None]
+             // 3 ** np.arange(n - 1, -1, -1, dtype=np.int64) % 3)
     values = coeffs.values
     if ordering == "greedy-weight":
         mx, mz = _frame_masks(codes, n)
@@ -486,25 +482,19 @@ def build_qwc_partition(coeffs: CoeffVector,
         pattern = 4 * pattern + np.array([3, 0, 1, 2])[xz]
     first = _first_frame_table(position, n)[pattern]
     taken, gid = np.unique(first, return_inverse=True)
-    gid = gid.reshape(-1)
-    slot = ax | az
-    c_s = np.zeros((taken.size, 1 << n))
-    c_s[gid, slot] = values[paulis]
-    chats = np.empty_like(c_s)
+    groups = np.zeros(taken.size, dtype=[("frame", np.int64, (n,)),
+                                         ("chat", float, (1 << n,)),
+                                         ("weight", float)]).view(np.recarray)
+    groups.frame = codes[order[taken]]
+    chat = groups.chat  # c^(S) until transformed, row by row
+    chat[gid.reshape(-1), ax | az] = values[paulis]
     for rows in range(0, taken.size, 64):  # small blocks keep temporaries small
-        chats[rows:rows + 64] = fwht(c_s[rows:rows + 64])
-    weights = np.maximum(chats.max(axis=1), -chats.min(axis=1))
-    by_group = np.lexsort((slot, gid))
-    claims = np.split(paulis[by_group], np.cumsum(np.bincount(gid))[:-1])
-    frames = codes[order[taken]]
-    groups = tuple(
-        QWCGroup(frame=tuple(_FRAME_LABELS[c] for c in frame), coeffs=c_s[k],
-                 chat=chats[k], weight=float(weights[k]),
-                 claimed=tuple(claims[k].tolist()))
-        for k, frame in enumerate(frames.tolist()))
-    total = float(sum(g.weight for g in groups))
+        chat[rows:rows + 64] = fwht(chat[rows:rows + 64])
+    groups.weight = np.maximum(chat.max(axis=1), -chat.min(axis=1))
+    # one group after another: a pairwise sum moves W's last digits
+    total = float(sum(groups.weight.tolist()))
     return QWCPartition(n=n, groups=groups, total_weight=total,
-                        ordering=ordering, codes=frames, chats=chats)
+                        ordering=ordering)
 
 
 def _frame_outcomes(state, codes: np.ndarray):
@@ -576,25 +566,26 @@ def _nldfe_values(rho, part: QWCPartition, shots: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Each shot draws a group proportionally to its weight, measures rho
     in the group frame, and returns W * chat_b / ||chat||_inf."""
-    if not part.groups:
+    if part.groups.size == 0:
         raise ConfigError("empty partition")
-    weights = np.array([g.weight for g in part.groups])
+    weights = part.groups.weight
     by_weight = CdfTable(np.cumsum(weights / weights.sum()))
-    frame_outcomes = _frame_outcomes(rho, part.codes)
+    frame_outcomes = _frame_outcomes(rho, part.groups.frame)
+    # every shot value up front, so that a shot costs one gather
+    values = part.total_weight * (part.groups.chat / weights[:, None])
 
     def block(count: int) -> np.ndarray:
         groups = by_weight.search(rng.random(count))
-        outcomes = frame_outcomes(groups, rng.random((3, count)))
-        return part.total_weight * (part.chats[groups, outcomes] / weights[groups])
+        return values[groups, frame_outcomes(groups, rng.random((3, count)))]
     return _in_blocks(shots, block)
 
 
 def nldfe_value_law(rho, part: QWCPartition):
     """Exact single-shot value law (values, probabilities) of NLDFE, over
     the groups times their frame outcomes."""
-    weights = np.array([g.weight for g in part.groups])[:, None]
-    laws = _born_law_rows(rho, part.codes, part.n)
-    values = part.total_weight * (part.chats / weights)
+    weights = part.groups.weight[:, None]
+    laws = _born_law_rows(rho, part.groups.frame, part.n)
+    values = part.total_weight * (part.groups.chat / weights)
     return values.ravel(), (weights / weights.sum() * laws).ravel()
 
 

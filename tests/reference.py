@@ -1,14 +1,15 @@
 """Test-input builders and reference formulas that `fidest` itself never
 needs: gates applied to amplitude arrays, a density matrix as the
 mixture of its eigenvectors, an MPS amplitude read by direct contraction,
-dense <-> packed F2 matrices, and two closed forms the Haar and Dirichlet
-tests compare against."""
+dense <-> packed F2 matrices, the Pauli claims of a QWC partition, and
+two closed forms the Haar and Dirichlet tests compare against."""
 
 import math
 
 import numpy as np
 
-from fidest.f2 import F2Matrix
+from fidest.estimation import QWC_TOL
+from fidest.f2 import F2Matrix, fwht
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
 
@@ -56,6 +57,22 @@ def f2_to_dense(m: F2Matrix) -> np.ndarray:
         for j in range(m.cols):
             out[i, j] = (row >> j) & 1
     return out
+
+
+def partition_claims(part) -> list:
+    """The Pauli indices each group of a QWC partition claims, in frame
+    position order: the positions s where c^(S) = fwht(chat) / 2^n
+    exceeds QWC_TOL / 2 in magnitude, as the Pauli (s & mx, s & mz) of
+    the group's frame (qubit 1 = MSB)."""
+    n = part.n
+    place = 1 << np.arange(n - 1, -1, -1)
+    s = np.arange(1 << n)
+    claims = []
+    for frame, chat in zip(part.groups.frame, part.groups.chat):
+        mx, mz = int((frame != 0) @ place), int((frame != 1) @ place)
+        keep = s[np.abs(fwht(chat) / (1 << n)) > QWC_TOL / 2]
+        claims.append(tuple((((keep & mx) << n) | (keep & mz)).tolist()))
+    return claims
 
 
 def haar_l1_asymptote(n: int) -> float:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fidest
-from fidest import cli, magic, samplers
+from fidest import cli, estimation, f2, magic, samplers
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +67,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "tomography", "--n", "9",
                                "--shots-ladder", "10")
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--scheme", "nldfe", "--n", str(estimation.QWC_QUBIT_CAP + 1)),
+        ("nldfe-compare", "--nmax", str(estimation.QWC_QUBIT_CAP + 1)),
+    ], ids=" ".join)
+    def test_qwc_cap_before_coefficients(self, capsys, monkeypatch, argv):
+        # the cap refuses the command before the 4^n coefficient transform
+        def refuse(*args, **kwargs):
+            raise AssertionError("pauli_coefficients called above the QWC cap")
+        for module in (cli, estimation, f2):
+            monkeypatch.setattr(module, "pauli_coefficients", refuse)
+        code, _, err = run_cli(capsys, *argv, "--deterministic")
+        assert code == 3
+        assert f"capped at n <= {estimation.QWC_QUBIT_CAP}" in err
 
     @pytest.mark.parametrize("command",
                              ["hypergraph-bounds", "haar-scan", "nldfe-compare"])

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fidest import cli, estimation, samplers, states
 from fidest.errors import ConfigError
-from fidest.f2 import PauliPoint, pauli_coefficients
-from reference import spectral_mixture
+from fidest.f2 import PauliPoint, fwht, pauli_coefficients
+from reference import partition_claims, spectral_mixture
 
 
 def random_pure_pair(n, rng):
@@ -166,7 +166,7 @@ class TestQWCPartition:
         rng = np.random.default_rng(11)
         c = pauli_coefficients(states.haar_random(3, rng))
         part = estimation.build_qwc_partition(c)
-        claimed = [i for g in part.groups for i in g.claimed]
+        claimed = [i for claims in partition_claims(part) for i in claims]
         assert len(claimed) == len(set(claimed))
         nonzero = set(np.nonzero(np.abs(c.values) > 1e-12)[0].tolist())
         assert set(claimed) == nonzero
@@ -190,7 +190,7 @@ class TestQWCPartition:
         for _ in range(10):
             c = pauli_coefficients(states.haar_random(3, rng))
             part = estimation.build_qwc_partition(c, "greedy-weight")
-            claimed = [i for g in part.groups for i in g.claimed]
+            claimed = [i for claims in partition_claims(part) for i in claims]
             nonzero = set(np.nonzero(np.abs(c.values) > 1e-12)[0].tolist())
             assert set(claimed) == nonzero
             assert len(claimed) == len(set(claimed))
@@ -534,7 +534,8 @@ def test_partition_matches_sequential_claims(n, ordering):
             frames = [frames[k] for k in np.argsort(-np.abs(full), kind="stable")]
         part = estimation.build_qwc_partition(coeffs, ordering)
         want = sequential_partition(coeffs, frames)
-        assert [(g.frame, g.claimed) for g in part.groups] == \
-            [(frame, claimed) for frame, claimed, _ in want]
+        assert part.groups.frame.tolist() == \
+            states.frame_codes([frame for frame, _, _ in want], n).tolist()
+        assert partition_claims(part) == [claimed for _, claimed, _ in want]
         for g, (_, _, c_s) in zip(part.groups, want):
-            assert np.array_equal(g.coeffs, c_s)
+            assert np.array_equal(g.chat, fwht(c_s))
