@@ -51,7 +51,7 @@ QWC_TOL = 1e-12
 BLOCK_SHOTS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
     scheme: str
     shots: int
@@ -95,7 +95,7 @@ def _row_chunks(count: int, row_bytes: int):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Groups:
     """Items (shots, or labels) grouped by key: the items with key uniq[k]
     are order[starts[k]:starts[k + 1]], and inv[j] is item j's k."""
@@ -384,7 +384,7 @@ def fofe_expected_value(rho, sampler, phase: PhaseFunction) -> float:
     return float(values @ probs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiTargetResult:
     reports: tuple
     shots: int
@@ -418,7 +418,7 @@ def fofe_multi_target(rho, sampler, phases, shots: int,
 # NLDFE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QWCPartition:
     """The QWC groups as one record array, a record per group: ``frame``
     (its frame as ``states.frame_codes``), ``chat`` (the WHT of c^(S),

@@ -11,7 +11,10 @@ branches on the type:
   n                  -- qubit count
   entries(rows, cols) -- the matrix elements rho[rows, cols] (broadcast);
                         ``f2.xor_diagonals`` and ``density_matrix`` read
-                        rho through them
+                        rho through them.  They are float64 when every
+                        pure part has exactly real amplitudes, and then
+                        ``f2.pauli_expectation_rows`` transforms them in
+                        real arithmetic
   born_laws(frames)  -- computational outcome law after each frame rotation
                         (frames as Z/X/Y label sequences or frame_codes)
   fidelity(psi)      -- <psi|rho|psi>
@@ -45,12 +48,19 @@ _FRAME_LABELS = "ZXY"  # frame code k is the label _FRAME_LABELS[k]
 _CODE_GATES = np.array([_FRAME_GATES[lab] for lab in _FRAME_LABELS])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state of n qubits; 2^n complex amplitudes, unit norm."""
+    """Pure state of n qubits; 2^n complex amplitudes, unit norm.
+
+    When every imaginary part is exactly zero (phase states with phases
+    0 and pi, Dicke, MPS and phase-stripped states), ``entries`` returns
+    float64 products of the real parts: the same values as the complex
+    products, so Pauli transforms of its rows run in real arithmetic."""
 
     n: int
     amplitudes: np.ndarray = field(repr=False)
+    #: the real parts as float64 when every imaginary part is 0, else None
+    _real: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=complex)
@@ -61,7 +71,9 @@ class StateVector:
             raise NumericalHealthError(f"norm^2 = {norm}, state not normalized")
         amps = amps.copy()
         amps.flags.writeable = False
+        real = None if amps.imag.any() else amps.real.copy()
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_real", real)
 
     @classmethod
     def normalized(cls, amps) -> "StateVector":
@@ -75,6 +87,8 @@ class StateVector:
         return cls(n, amps / norm)
 
     def entries(self, rows, cols) -> np.ndarray:
+        if self._real is not None:
+            return self._real[rows] * self._real[cols]
         return self.amplitudes[rows] * np.conj(self.amplitudes[cols])
 
     def born_laws(self, frames) -> np.ndarray:
@@ -148,7 +162,7 @@ class PhaseFunction:
                                               np.abs(table - 2 * np.pi)]) <= tol))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mixture:
     """sum_k weights[k] |members[k]><members[k]| + mixed I/2^n, with pure
     members, in O(len(members) 2^n) memory: every law below is the
@@ -214,7 +228,11 @@ def density_matrix(state) -> np.ndarray:
 def phase_state(phi: PhaseFunction) -> StateVector:
     """D(phi)|+>^n, i.e. amplitudes 2^(-n/2) e^(i phi(x))."""
     n = phi.n
-    amps = np.exp(1j * phi.table()) / np.sqrt(1 << n)
+    table = phi.table()
+    amps = np.exp(1j * table) / np.sqrt(1 << n)
+    # e^(i pi) evaluates to -1 + 1.2e-16 i: a phase of exactly pi is -1,
+    # so Boolean-polynomial phases give exactly real amplitudes
+    amps.imag[table == np.pi] = 0.0
     return StateVector(n, amps)
 
 
@@ -282,7 +300,7 @@ def exact_fidelity(rho, psi: StateVector) -> float:
 # Real matrix-product states
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealMPS:
     """Real MPS: per-site chi x chi tensors gammas[i, x] with boundary
     row vector ``left`` and column vector ``right``; the amplitude of x

@@ -56,7 +56,7 @@ def _self_dual_basis(n: int) -> tuple:
     raise NumericalHealthError(f"no self-dual basis found for n={n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MUBBasis:
     """One MUB: the commuting Pauli class and its common eigenbasis
     (columns of `vectors`, ordered by descending sorting eigenvalue)."""
@@ -70,7 +70,7 @@ class MUBBasis:
         self.vectors.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MUBFamily:
     n: int
     bases: tuple  # 2^n + 1 MUBBasis entries; the first is the Z class
@@ -173,7 +173,7 @@ def mub_family(n: int) -> MUBFamily:
 # Estimation and projections
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     n: int
     raw: np.ndarray = field(repr=False)  # (2^n + 1, 2^n) estimated rows

@@ -1,15 +1,17 @@
 """Test-input builders and reference formulas that `fidest` itself never
 needs: gates applied to amplitude arrays, a density matrix as the
 mixture of its eigenvectors, an MPS amplitude read by direct contraction,
-dense <-> packed F2 matrices, the Pauli claims of a QWC partition, and
-two closed forms the Haar and Dirichlet tests compare against."""
+dense <-> packed F2 matrices, the Pauli claims of a QWC partition, the
+all-complex Pauli expectation kernel, and two closed forms the Haar and
+Dirichlet tests compare against."""
 
 import math
 
 import numpy as np
 
+from fidest.errors import NumericalHealthError
 from fidest.estimation import QWC_TOL
-from fidest.f2 import F2Matrix, fwht
+from fidest.f2 import CHUNK_BYTES, F2Matrix, fwht, pauli_phase, xor_diagonals
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
 
@@ -73,6 +75,26 @@ def partition_claims(part) -> list:
         keep = s[np.abs(fwht(chat) / (1 << n)) > QWC_TOL / 2]
         claims.append(tuple((((keep & mx) << n) | (keep & mz)).tolist()))
     return claims
+
+
+def pauli_expectation_rows_complex(state, words) -> np.ndarray:
+    """``f2.pauli_expectation_rows`` with every row in complex arithmetic:
+    i^|ax & az| times the complex WHT of each XOR-diagonal row, real part
+    kept, largest imaginary part checked.  The oracle for its real path."""
+    words = np.asarray(words, dtype=np.int64)
+    dim = 1 << state.n
+    az = np.arange(dim)
+    out = np.empty((words.size, dim))
+    step = max(1, CHUNK_BYTES // (16 * dim))
+    worst = 0.0
+    for lo in range(0, words.size, step):
+        ax = words[lo:lo + step]
+        vals = pauli_phase(ax[:, None], az) * fwht(xor_diagonals(state, ax))
+        worst = max(worst, float(np.max(np.abs(vals.imag))))
+        out[lo:lo + ax.size] = vals.real
+    if worst > 1e-9:
+        raise NumericalHealthError(f"expectation has imaginary part {worst}")
+    return out
 
 
 def haar_l1_asymptote(n: int) -> float:

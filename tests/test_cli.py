@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fidest
 from fidest import cli, estimation, f2, magic, samplers
+from reference import pauli_expectation_rows_complex
 
 
 def run_cli(capsys, *argv):
@@ -418,3 +419,34 @@ def test_fuzz_every_subcommand(capsys, command, data):
     code, _, err = run_cli(capsys, *argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err
+
+
+class TestRealTransformNoChange:
+    """CLI output is byte-identical whether the Pauli transform of real
+    rows runs in real arithmetic or through the all-complex kernel."""
+
+    COMMANDS = [("fig2a", "--n", "6"),
+                ("hypergraph-bounds", "--nmin", "4", "--nmax", "5"),
+                *(("run", "--n", "6", "--p", "0.1", "--family", family,
+                   "--scheme", scheme)
+                  for family in ("hypergraph-complete3", "dicke")
+                  for scheme in ("dfe", "fofe", "nldfe"))]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_stdout_matches_complex_kernel(self, capsys, monkeypatch, argv):
+        argv = [*argv, "--seed", "1", "--deterministic", "--format", "json"]
+        real = run_cli(capsys, *argv)
+        calls = []
+
+        def oracle(state, words):
+            calls.append(state)
+            return pauli_expectation_rows_complex(state, words)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "pauli_expectation_rows", None) is f2.pauli_expectation_rows:
+                monkeypatch.setattr(module, "pauli_expectation_rows", oracle)
+        assert run_cli(capsys, *argv) == real
+        assert real[0] == 0
+        # FOFE on a phase state samples uniform X points: no transform
+        flat_fofe = "fofe" in argv and "hypergraph-complete3" in argv
+        assert bool(calls) != flat_fofe

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from fidest import f2
 from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
-from fidest.states import StateVector, density_matrix, haar_random
-from reference import f2_from_dense
+from fidest.states import (PhaseFunction, StateVector, complete_3_hypergraph_edges,
+                           density_matrix, depolarize, dicke_state, haar_random,
+                           hypergraph_state, mps_to_statevector, phase_state,
+                           phase_strip, random_real_mps)
+from reference import f2_from_dense, pauli_expectation_rows_complex
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -129,6 +132,60 @@ class TestPauliExpectation:
 
         with pytest.raises(NumericalHealthError):
             f2.pauli_expectation_rows(Skewed(), [1])
+
+    def test_real_residual_is_checked(self):
+        class Asymmetric:  # real XOR diagonal not symmetric under x -> x ^ ax
+            n = 1
+
+            def entries(self, rows, cols):
+                return np.array([[0.5, 0.3]] * len(cols))
+
+        with pytest.raises(NumericalHealthError):
+            f2.pauli_expectation_rows(Asymmetric(), [1])
+
+
+def _real_states():
+    rng = np.random.default_rng(11)
+    out = {f"hypergraph{n}": hypergraph_state(n, complete_3_hypergraph_edges(n))[0]
+           for n in range(1, 9)}
+    out["dicke"] = dicke_state(6, 2)
+    out["mps"] = mps_to_statevector(random_real_mps(6, 3, rng))
+    out["stripped-haar"] = phase_strip(haar_random(6, rng))[0]
+    out["depolarized-hypergraph"] = depolarize(out["hypergraph6"], 0.2)
+    return out
+
+
+def _complex_states():
+    rng = np.random.default_rng(12)
+    return {"haar": haar_random(6, rng),
+            "phase-random": phase_state(PhaseFunction.from_table(
+                6, rng.uniform(0.0, 2.0 * np.pi, 1 << 6)))}
+
+
+class TestRealTransform:
+    """The real path of ``pauli_expectation_rows`` gives the complex
+    kernel's values exactly (signed zeros count as equal)."""
+
+    @pytest.mark.parametrize("name", sorted(_real_states()))
+    def test_real_states_match_complex_kernel(self, name):
+        state = _real_states()[name]
+        assert f2.xor_diagonals(state, [0]).dtype == np.float64
+        self._check(state)
+
+    @pytest.mark.parametrize("name", sorted(_complex_states()))
+    def test_complex_states_match_complex_kernel(self, name):
+        state = _complex_states()[name]
+        assert f2.xor_diagonals(state, [0]).dtype == np.complex128
+        self._check(state)
+
+    @staticmethod
+    def _check(state):
+        dim = 1 << state.n
+        rng = np.random.default_rng(state.n)
+        subset = rng.permutation(dim)[:max(1, dim // 3)]
+        for words in (np.arange(dim), subset):
+            assert np.array_equal(f2.pauli_expectation_rows(state, words),
+                                  pauli_expectation_rows_complex(state, words))
 
 
 class TestPauliCoefficients:

@@ -1,11 +1,13 @@
 """Tests for state construction, noise, phase handling, and MPS utilities."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidest import f2, states
+from fidest import estimation, f2, samplers, states, tomography
 from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
 from reference import apply_phase, mps_amplitude, spectral_mixture
 
@@ -59,6 +61,21 @@ class TestPhaseStates:
         phase = states.PhaseFunction.from_polynomial(2, [(1, 2)])
         psi = states.phase_state(phase)
         assert np.allclose(psi.amplitudes, np.array([1, 1, 1, -1]) / 2)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_boolean_phases_give_exactly_real_amplitudes(self, n):
+        phase = states.PhaseFunction.from_polynomial(
+            n, [(1,), *states.complete_3_hypergraph_edges(n)])
+        psi = states.phase_state(phase)
+        assert np.all(psi.amplitudes.imag == 0.0)
+        assert np.any(psi.amplitudes.real < 0.0)
+        want = np.exp(1j * phase.table()) / 2 ** (n / 2)
+        assert np.max(np.abs(psi.amplitudes - want)) <= 2 ** (-n / 2) * 2.3e-16
+
+    def test_continuous_phases_are_unchanged(self):
+        table = np.random.default_rng(5).uniform(0.0, 2.0 * np.pi, 32)
+        psi = states.phase_state(states.PhaseFunction.from_table(5, table))
+        assert np.array_equal(psi.amplitudes, np.exp(1j * table) / np.sqrt(32))
 
     def test_apply_phase_matches_diagonal_unitary(self):
         rng = np.random.default_rng(2)
@@ -307,3 +324,39 @@ class TestMeasurement:
         assert probs.sum() == pytest.approx(1.0)
         spectral = spectral_mixture(states.density_matrix(mix))
         assert np.allclose(probs, spectral.born_laws([frame])[0], atol=1e-12)
+
+
+def _array_holders():
+    """One instance of every frozen dataclass in ``fidest`` that holds
+    arrays, by class name."""
+    rng = np.random.default_rng(14)
+    psi, phi = states.hypergraph_state(3, states.complete_3_hypergraph_edges(3))
+    rho = states.depolarize(psi, 0.1)
+    coeffs = f2.pauli_coefficients(psi)
+    fam = tomography.mub_family(1)
+    return {
+        "StateVector": psi,
+        "CoeffVector": coeffs,
+        "Mixture": rho,
+        "RealMPS": states.random_real_mps(3, 2, rng),
+        "EstimateReport": estimation.run_estimator("dfe", psi, rho, shots=4),
+        "QWCPartition": estimation.build_qwc_partition(coeffs),
+        "MultiTargetResult": estimation.fofe_multi_target(
+            rho, samplers.UniformXSampler(3, 0.5), [phi], 4, rng),
+        "_Groups": estimation._Groups.of(np.array([2, 0, 2])),
+        "MUBBasis": fam.bases[0],
+        "MUBFamily": fam,
+        "CoefficientTable": tomography.estimate_coefficients(
+            np.eye(2) / 2, fam, 0, rng),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    # a generated field-wise == would take the truth value of an array
+    obj = _array_holders()[name]
+    assert type(obj).__name__ == name
+    other = copy.copy(obj)
+    assert obj == obj and not obj != obj
+    assert obj != other and not obj == other
+    assert len({obj, other}) == 2
