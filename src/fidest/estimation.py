@@ -17,8 +17,10 @@ All three run on one batched shot engine:
      depolarizing noise, else one Walsh-Hadamard transform per distinct
      a_x;
    - FOFE: b' from its marginal law, then b1 given b' (``_fofe_outcomes``);
-   - NLDFE: the frame outcome one block of qubits at a time
-     (``_frame_outcomes``);
+   - NLDFE: the frame outcome from its group's Born law, formed once, when
+     the group is first drawn, by one WHT of the group's <T_a> (read as
+     for DFE), then one guided inverse-CDF search per shot
+     (``_group_outcomes``);
 3. post-process all shot values in one pass.
 
 The exact per-label laws (``_fofe_laws``, ``born_laws``, <T_a>) give each
@@ -39,8 +41,7 @@ from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, PauliPoint,
                  pauli_coefficients, pauli_expectation_rows, pauli_phase,
                  popcount_array, xor_diagonals)
 from .samplers import CdfTable, ExactSampler, UniformXSampler
-from .states import (PhaseFunction, StateVector, _kron_gates, _rotate_leading,
-                     exact_fidelity, phase_strip)
+from .states import PhaseFunction, StateVector, exact_fidelity, phase_strip
 
 QWC_QUBIT_CAP = 9
 #: coefficients with |c| above this join a QWC group
@@ -93,44 +94,6 @@ def _in_blocks(shots: int, block) -> np.ndarray:
 def _row_chunks(count: int, row_bytes: int):
     step = max(1, CHUNK_BYTES // row_bytes)
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
-@dataclass(frozen=True, eq=False)
-class _Groups:
-    """Items (shots, or labels) grouped by key: the items with key uniq[k]
-    are order[starts[k]:starts[k + 1]], and inv[j] is item j's k."""
-
-    uniq: np.ndarray
-    inv: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def of(cls, keys: np.ndarray) -> "_Groups":
-        # keys below 2^16 sort as uint16, by radix sort in linear time
-        small = keys.size > 0 and 0 <= keys.min() and keys.max() < 1 << 16
-        order = np.argsort(keys.astype(np.uint16) if small else keys, kind="stable")
-        ordered = keys[order]
-        new = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
-        starts = np.concatenate(([0], new, [keys.size]))
-        inv = np.empty(keys.size, dtype=np.int64)
-        inv[order] = np.repeat(np.arange(starts.size - 1), np.diff(starts))
-        return cls(ordered[starts[:-1]], inv, order, starts)
-
-    def first(self) -> np.ndarray:
-        """The first item of each key."""
-        return self.order[self.starts[:-1]]
-
-
-def _inverse_cdf(laws: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Outcome of each shot j: the inverse CDF of laws[rows[j]] at u[j]."""
-    cum = np.cumsum(np.clip(laws, 0.0, None), axis=1)
-    cum /= cum[:, -1:]
-    # Row k is shifted to (k, k + 1], so one search serves every row.
-    cum += np.arange(cum.shape[0])[:, None]
-    width = cum.shape[1]
-    pos = CdfTable(cum.ravel()).search(rows + u) - rows * width
-    return np.minimum(pos, width - 1)
 
 
 def _parity_signs(words: np.ndarray) -> np.ndarray:
@@ -196,6 +159,13 @@ def _table_expectations(rho, target: StateVector, coeffs: CoeffVector):
     scale = weights[0] * (1 << n)
     return lambda ax, az: (scale * coeffs.values[(ax << n) | az]
                            + mixed * ((ax | az) == 0))
+
+
+def _expectations(rho, target: StateVector, coeffs: CoeffVector):
+    """<T_a>_rho for DFE and NLDFE: off the target's table when it serves
+    (``_table_expectations``), else in rows formed on demand."""
+    return (_table_expectations(rho, target, coeffs)
+            or _pauli_expectations(rho, target.n))
 
 
 def _dfe_values(sampler, shots: int, rng: np.random.Generator,
@@ -497,86 +467,59 @@ def build_qwc_partition(coeffs: CoeffVector,
                         ordering=ordering)
 
 
-def _frame_outcomes(state, codes: np.ndarray):
-    """outcomes(which, u): one computational outcome per shot j after
-    rotating ``state`` into the frame codes[which[j]] (rows as
-    ``states.frame_codes``), drawn exactly from the Born law without
-    forming it; u holds three uniforms per shot, shape (3, shots).
+def _group_laws(expectations, mx: np.ndarray, mz: np.ndarray,
+                n: int) -> np.ndarray:
+    """Outcome law of measuring rho in each frame with X and Z masks
+    (mx, mz), one row per frame; no rotation is needed:
+        P(b) = 2^-n sum_s (-1)^(s.b) <T_(s & mx, s & mz)>_rho,
+    one WHT of 2^n expectations, expectations(ax, az) giving <T_a>."""
+    s = np.arange(1 << n)
+    return fwht(expectations(s & mx[:, None], s & mz[:, None])) / (1 << n)
 
-    A shot picks a member of ``pure_ensemble()``; the I/2^n part gives a
-    uniform outcome.  For a pure member psi, split the qubits into the
-    first n - r and the last r (r = min(3, n)), and rotate psi by the
-    first block's gates only: the rows psi_L of that partial rotation, as
-    a 2^(n-r) x 2^r matrix, are formed when their (member, first block
-    frame) pair is first drawn, and kept for later calls.  The last
-    block's rotation V_R is unitary, so the first block's outcome i has
-    law ||row i of psi_L||^2, and given i the last block's outcome j has
-    law |V_R (row i of psi_L)|_j^2 over that: every shot costs one
-    2^r x 2^r product."""
+
+def _group_outcomes(codes: np.ndarray, expectations):
+    """outcomes(which, u): one computational outcome per shot j after
+    rotating rho into the frame codes[which[j]] (rows as
+    ``states.frame_codes``), by inverse CDF at u[j].  A frame's law
+    (``_group_laws``) is formed the first time it is drawn, 64 new frames
+    at a time, and kept as a row of a guided CDF table for later calls:
+    a shot costs one guided search, and frames never drawn cost nothing.
+    The law is rho's own, so a mixed state's member is marginalised out."""
     n = codes.shape[1]
-    r = min(3, n)
-    lead = n - r
-    weights, amps, mixed = state.pure_ensemble()
-    place = 3 ** np.arange(n, dtype=np.int64)
-    lead_key = codes[:, :lead] @ place[:lead]
-    slots = np.full(weights.size * 3**lead, -1, dtype=np.int64)
-    kept = np.empty((0, 1 << lead, 1 << r), dtype=complex)
+    mx, mz = _frame_masks(codes, n)
+    laws = CdfTable.empty(codes.shape[0], 1 << n)
+    formed = np.zeros(codes.shape[0], dtype=bool)
 
     def outcomes(which: np.ndarray, u: np.ndarray) -> np.ndarray:
-        nonlocal kept
-        member = _inverse_cdf(np.append(weights, mixed)[None, :],
-                              np.zeros(u.shape[1], dtype=np.int64), u[0])
-        out = np.empty(u.shape[1], dtype=np.int64)
-        flat = member == weights.size
-        out[flat] = np.minimum((u[1, flat] * (1 << n)).astype(np.int64),
-                               (1 << n) - 1)
-        pure = np.flatnonzero(~flat)
-        if pure.size == 0:
-            return out
-        frame = which[pure]
-        pairs = _Groups.of(member[pure] * 3**lead + lead_key[frame])
-        new = slots[pairs.uniq] < 0
-        if new.any():
-            first = pairs.first()[new]
-            rows = _rotate_leading(amps[member[pure[first]]],
-                                   codes[frame[first], :lead])
-            slots[pairs.uniq[new]] = kept.shape[0] + np.arange(first.size)
-            kept = np.concatenate([kept, rows.reshape(-1, 1 << lead, 1 << r)])
-        rows = kept[slots[pairs.uniq]]
-        i = _inverse_cdf(np.sum(np.abs(rows) ** 2, axis=2), pairs.inv, u[1, pure])
-        last = _Groups.of((codes[:, lead:] @ place[:r])[frame])
-        gates = _kron_gates(codes[frame[last.first()], lead:])
-        pair, row = pairs.inv[last.order], i[last.order]
-        target = u[2, pure[last.order]]
-        counts = np.empty(pure.size, dtype=np.int64)
-        for k in range(last.uniq.size):
-            sl = slice(last.starts[k], last.starts[k + 1])
-            amp = rows[pair[sl], row[sl]] @ gates[k].T
-            cum = np.cumsum(amp.real ** 2 + amp.imag ** 2, axis=1)
-            # inverse CDF: the number of cumulative sums at or below u
-            counts[sl] = (cum <= target[sl, None] * cum[:, -1:]).sum(axis=1)
-        j = np.empty(pure.size, dtype=np.int64)
-        j[last.order] = np.minimum(counts, (1 << r) - 1)
-        out[pure] = (i << r) | j
-        return out
+        new = np.flatnonzero(np.bincount(which[~formed[which]],
+                                         minlength=formed.size))
+        for lo in range(0, new.size, 64):
+            rows = new[lo:lo + 64]
+            law = _group_laws(expectations, mx[rows], mz[rows], n)
+            cum = np.cumsum(np.clip(law, 0.0, None), axis=1)
+            laws.fill(rows, cum / cum[:, -1:])
+        formed[new] = True
+        return laws.search(u, which)
     return outcomes
 
 
-def _nldfe_values(rho, part: QWCPartition, shots: int,
-                  rng: np.random.Generator) -> np.ndarray:
+def _nldfe_values(part: QWCPartition, shots: int, rng: np.random.Generator,
+                  expectations) -> np.ndarray:
     """Each shot draws a group proportionally to its weight, measures rho
-    in the group frame, and returns W * chat_b / ||chat||_inf."""
-    if part.groups.size == 0:
+    in the group frame (``_group_outcomes``; expectations(ax, az) gives
+    <T_a>), and returns W * chat_b / ||chat||_inf."""
+    groups = part.groups
+    if groups.size == 0:
         raise ConfigError("empty partition")
-    weights = part.groups.weight
+    weights, chat = groups.weight, groups.chat
     by_weight = CdfTable(np.cumsum(weights / weights.sum()))
-    frame_outcomes = _frame_outcomes(rho, part.groups.frame)
-    # every shot value up front, so that a shot costs one gather
-    values = part.total_weight * (part.groups.chat / weights[:, None])
+    outcomes = _group_outcomes(groups.frame, expectations)
+    scale = part.total_weight / weights
 
     def block(count: int) -> np.ndarray:
-        groups = by_weight.search(rng.random(count))
-        return values[groups, frame_outcomes(groups, rng.random((3, count)))]
+        u = rng.random((2, count))
+        g = by_weight.search(u[0])
+        return scale[g] * chat[g, outcomes(g, u[1])]
     return _in_blocks(shots, block)
 
 
@@ -633,8 +576,7 @@ def run_estimator(scheme: str, target: StateVector, rho, *, alpha: float = 0.5,
         sampler = ExactSampler(coeffs, alpha)
         bound = float(sampler.norm_sum ** 2) if alpha == 0.5 else None
         values = _dfe_values(sampler, shots, rng,
-                             _table_expectations(rho, target, coeffs)
-                             or _pauli_expectations(rho, target.n))
+                             _expectations(rho, target, coeffs))
     elif scheme == "fofe":
         stripped, phi = phase_strip(target)
         if _is_flat_modulus(stripped):
@@ -645,10 +587,11 @@ def run_estimator(scheme: str, target: StateVector, rho, *, alpha: float = 0.5,
         bound = branches * float(sampler.norm_sum ** 2) if alpha == 0.5 else None
         values = _fofe_values(rho, sampler, [phi], shots, rng)[0][0]
     elif scheme == "nldfe":
-        part = build_qwc_partition(pauli_coefficients(target),
-                                   ordering=ordering)
+        coeffs = pauli_coefficients(target)
+        part = build_qwc_partition(coeffs, ordering=ordering)
         bound = part.total_weight ** 2
-        values = _nldfe_values(rho, part, shots, rng)
+        values = _nldfe_values(part, shots, rng,
+                               _expectations(rho, target, coeffs))
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
     return _make_report(scheme, values, mom_batches, exact, bound)

@@ -31,33 +31,74 @@ BELL_TOTAL_QUBIT_CAP = 24
 DICKE_QUBIT_CAP = 63
 
 
+def _guides(cum: np.ndarray):
+    """Scale size / row[-1] and guide of each row of cum, in O(size) per
+    row: guide[k] counts the sums s of the row with s * scale <= k (as
+    rounded), from a bincount of min(ceil(s * scale), size)."""
+    count, size = cum.shape
+    scale = size / cum[:, -1]
+    edge = cum * scale[:, None]
+    np.ceil(edge, out=edge)
+    edge = np.minimum(edge, size, out=edge).astype(np.int64)
+    edge += (size + 1) * np.arange(count)[:, None]
+    counts = np.bincount(edge.reshape(-1), minlength=count * (size + 1))
+    del edge  # the table can be large: keep one temporary at a time
+    guide = counts.reshape(count, size + 1)[:, :size]
+    np.cumsum(guide, axis=1, out=guide)
+    return scale, guide.astype(np.min_scalar_type(size))
+
+
 class CdfTable:
-    """Inverse CDF over an ascending array of nonnegative cumulative sums:
-    search(v) is min(searchsorted(cum, v, side="right"), len(cum) - 1),
-    in O(1) expected steps per value.  A guide table holds, for each of
-    len(cum) equal buckets of [0, cum[-1]), the answer at the bucket's
-    lower end; each value steps from there to its own answer."""
+    """Inverse CDF over rows of ascending nonnegative cumulative sums, each
+    `size` long: search(v, rows) is min(searchsorted(cum[rows[j]], v[j],
+    side="right"), size - 1) for each value j, in O(1) expected steps per
+    value.  A 1-D cum is a table of one row, searched with rows = 0.
+
+    With scale = size / row[-1], a row's guide holds, for each bucket
+    k = 0 .. size - 1, the number of its sums s with s * scale <= k, and
+    v starts from the guide of bucket ceil(v * scale) - 1.  Rounding
+    x * scale is monotone in x, so each sum counted there has
+    s * scale < v * scale as rounded, hence s < v: the start is never
+    above v's answer, and each value steps up to its own answer.
+    Guides are row-relative, in the smallest unsigned type that holds
+    `size`.  ``empty(count, size)`` makes a table whose rows ``fill``
+    writes when they are first needed: rows never filled are never
+    written, and never searched."""
 
     def __init__(self, cum: np.ndarray):
-        self.cum = cum
-        self.scale = cum.size / cum[-1]
-        self.guide = np.searchsorted(cum, np.arange(cum.size) / self.scale,
-                                     side="right")
+        self.cum = cum.reshape(-1, cum.shape[-1])
+        self.scale, self.guide = _guides(self.cum)
 
-    def search(self, v: np.ndarray) -> np.ndarray:
-        cum, last = self.cum, self.cum.size - 1
-        idx = np.minimum(self.guide[np.minimum((v * self.scale).astype(np.int64),
-                                               last)], last)
-        # a bucket edge rounded above v can put idx too far
-        back = np.flatnonzero((idx > 0) & (cum[idx - 1] > v))
-        while back.size:
-            idx[back] -= 1
-            back = back[(idx[back] > 0) & (cum[idx[back] - 1] > v[back])]
-        step = np.flatnonzero((idx < last) & (cum[idx] <= v))
+    @classmethod
+    def empty(cls, count: int, size: int) -> "CdfTable":
+        table = cls.__new__(cls)
+        table.cum = np.empty((count, size))
+        table.scale = np.empty(count)
+        table.guide = np.empty((count, size), dtype=np.min_scalar_type(size))
+        return table
+
+    def fill(self, rows: np.ndarray, cum: np.ndarray) -> None:
+        """Set the given rows to cum, one row each, with their guides."""
+        self.cum[rows] = cum
+        self.scale[rows], self.guide[rows] = _guides(cum)
+
+    def search(self, v: np.ndarray, rows=0) -> np.ndarray:
+        size = self.cum.shape[1]
+        first = rows * size  # flat offset of each value's row
+        bucket = np.ceil(v * self.scale[rows]).astype(np.int64)
+        bucket -= 1
+        np.clip(bucket, 0, size - 1, out=bucket)
+        bucket += first
+        pos = self.guide.reshape(-1)[bucket].astype(np.int64)
+        pos += first
+        cum = self.cum.reshape(-1)
+        end = np.broadcast_to(first + size - 1, pos.shape)
+        step = np.flatnonzero((pos < end) & (cum[pos] <= v))
         while step.size:
-            idx[step] += 1
-            step = step[(idx[step] < last) & (cum[idx[step]] <= v[step])]
-        return idx
+            pos[step] += 1
+            step = step[(pos[step] < end[step]) & (cum[pos[step]] <= v[step])]
+        pos -= first
+        return pos
 
 
 class ExactSampler:

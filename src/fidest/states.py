@@ -386,18 +386,6 @@ def frame_codes(frames, n: int) -> np.ndarray:
     return np.array(codes, dtype=np.int64).reshape(len(codes), n)
 
 
-def _kron_gates(codes: np.ndarray) -> np.ndarray:
-    """Per row of codes (m, k), the Kronecker product of its frame gates,
-    qubit 1 most significant: shape (m, 2^k, 2^k)."""
-    out = np.ones((codes.shape[0], 1, 1), dtype=complex)
-    for q in range(codes.shape[1]):
-        g = _CODE_GATES[codes[:, q]]
-        size = 2 * out.shape[1]
-        out = out[:, :, None, :, None] * g[:, None, :, None, :]
-        out = out.reshape(-1, size, size)
-    return out
-
-
 def _rotate_leading(amps: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Row j of amps (broadcast) with the frame gates of codes[j] applied
     to qubits 1..k, k = codes.shape[1]: shape (len(codes), 2^n)."""

@@ -401,14 +401,84 @@ class TestExactLawOracles:
                     assert np.allclose(got, want, atol=1e-15, rtol=0)
 
     def test_inverse_cdf_quantiles(self):
-        # Evenly spaced u hit every outcome in proportion to its law, and
-        # never a zero-probability outcome.
+        # Evenly spaced u over one group's row hit every outcome in
+        # proportion to its law, and never a zero-probability outcome.
         laws = np.array([[0.25, 0.0, 0.75, 0.0], [0.0, 0.5, 0.0, 0.5]])
+        # frame ZZ reads <T_(0, s)> and frame XX reads <T_(s, 0)>, and each
+        # law is the WHT of its row over 4
+        t = fwht(laws)
+        outcomes = estimation._group_outcomes(
+            states.frame_codes(["ZZ", "XX"], 2),
+            lambda ax, az: np.where(ax == 0, t[0][az], t[1][ax]))
         k = 400
         u = (np.arange(k) + 0.5) / k
         for row in range(2):
-            out = estimation._inverse_cdf(laws, np.full(k, row), u)
+            out = outcomes(np.full(k, row), u)
             assert np.array_equal(np.bincount(out, minlength=4) / k, laws[row])
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_group_laws_are_born_laws(self, n, seed):
+        # one WHT of a frame's <T_a> row gives the Born law of measuring in
+        # that frame, on every form of state and both <T_a> routes: the
+        # target's table (pure, noisy) and rows formed on demand (others)
+        rng = np.random.default_rng(seed)
+        codes = rng.integers(0, 3, (int(rng.integers(1, 8)), n))
+        mx, mz = estimation._frame_masks(codes, n)
+        psi = states.haar_random(n, rng)
+        coeffs = pauli_coefficients(psi)
+        for kind, rho in enumerate(state_kinds(psi, rng)):
+            table = estimation._table_expectations(rho, psi, coeffs)
+            assert (table is not None) == (kind < 2)
+            expectations = table or estimation._pauli_expectations(rho, n)
+            assert np.allclose(estimation._group_laws(expectations, mx, mz, n),
+                               rho.born_laws(codes), atol=1e-12, rtol=0)
+
+    def test_group_laws_formed_once_when_first_drawn(self):
+        # laziness: <T_a> is requested only for groups a call newly draws
+        n = 6
+        target, rho = random_pure_pair(n, np.random.default_rng(17))
+        part = estimation.build_qwc_partition(pauli_coefficients(target))
+        mx, mz = estimation._frame_masks(part.groups.frame, n)
+        group_of = {(x, z): g for g, (x, z) in enumerate(zip(mx, mz))}
+        inner = estimation._pauli_expectations(rho, n)
+        requests = []
+
+        def spy(ax, az):
+            requests.append((ax, az))
+            return inner(ax, az)
+
+        def formed():
+            """Groups whose rows were requested since the last look."""
+            out = []
+            for ax, az in requests:
+                # the full position s = 2^n - 1 of a row is its group's masks
+                rows = [group_of[(x, z)] for x, z in zip(ax[:, -1], az[:, -1])]
+                s = np.arange(1 << n)
+                assert np.array_equal(ax, s & mx[rows, None])
+                assert np.array_equal(az, s & mz[rows, None])
+                out += rows
+            requests.clear()
+            return sorted(out)
+
+        estimation._nldfe_values(part, 1, np.random.default_rng(0), spy)
+        assert len(formed()) == 1
+        # over two blocks, no group's row is formed twice
+        estimation._nldfe_values(part, 2 * estimation.BLOCK_SHOTS,
+                                 np.random.default_rng(0), spy)
+        rows = formed()
+        assert len(rows) == len(set(rows))
+        rng = np.random.default_rng(1)
+        outcomes = estimation._group_outcomes(part.groups.frame, spy)
+        first = rng.integers(0, part.groups.size, 30)
+        outcomes(first, rng.random(first.size))
+        assert formed() == sorted(set(first.tolist()))
+        second = np.concatenate([first[:10],
+                                 rng.integers(0, part.groups.size, 30)])
+        outcomes(second, rng.random(second.size))
+        assert formed() == sorted(set(second.tolist()) - set(first.tolist()))
+        outcomes(first, rng.random(first.size))
+        assert formed() == []
 
 
 def state_kinds(psi, rng):
@@ -449,14 +519,16 @@ class TestOutcomeSamplers:
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_frame_outcomes_follow_born_law(self, n):
+        # the NLDFE draw, on both <T_a> routes
         rng = np.random.default_rng(50 + n)
         codes = rng.integers(0, 3, (6, n))
-        for rho in state_kinds(states.haar_random(n, rng), rng):
+        psi = states.haar_random(n, rng)
+        for rho in state_kinds(psi, rng):
             laws = np.clip(rho.born_laws(codes), 0, None)
             rows = rng.integers(0, codes.shape[0], 120_000)
-            out = estimation._frame_outcomes(rho, codes)(
-                rows, rng.random((3, rows.size)))
-            assert_frequencies(out, rows, laws)
+            outcomes = estimation._group_outcomes(codes, estimation._expectations(
+                rho, psi, pauli_coefficients(psi)))
+            assert_frequencies(outcomes(rows, rng.random(rows.size)), rows, laws)
 
     @settings(max_examples=25, deadline=None)
     @given(noisy_targets)
@@ -496,6 +568,30 @@ class TestOutcomeSamplers:
             v = np.nextafter(cum, 0)
             want = np.minimum(np.searchsorted(cum, v, side="right"), size - 1)
             assert np.array_equal(samplers.CdfTable(cum).search(v), want)
+
+    def test_cdf_table_rows_match_searchsorted(self):
+        # zero weights (tied sums, leading and trailing), unnormalised last
+        # sums, and tables whose rows are filled after they are made
+        rng = np.random.default_rng(61)
+        for _ in range(200):
+            count, size = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+            w = rng.random((count, size)) * (rng.random((count, size)) < 0.5)
+            w[:, rng.integers(0, size)] += 1.0
+            cum = np.cumsum(w, axis=1) * rng.uniform(0.01, 100.0, (count, 1))
+            rows = rng.integers(0, count, 400)
+            at = cum[rows, rng.integers(0, size, rows.size)]
+            v = np.concatenate([rng.random(rows.size) * cum[rows, -1], at,
+                                np.nextafter(at, 0), np.zeros(rows.size)])
+            rows = np.tile(rows, 4)
+            want = np.array([min(np.searchsorted(cum[r], x, side="right"), size - 1)
+                             for r, x in zip(rows, v)])
+            slot = rng.permutation(count + 1)[:count]  # one slot never filled
+            table = samplers.CdfTable.empty(count + 1, size)
+            table.fill(slot, cum)
+            assert np.array_equal(table.search(v, slot[rows]), want)
+            for r in range(count):
+                assert np.array_equal(samplers.CdfTable(cum[r]).search(v[rows == r]),
+                                      want[rows == r])
 
 
 def sequential_partition(coeffs, frames, tol=1e-12):

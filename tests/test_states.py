@@ -343,7 +343,6 @@ def _array_holders():
         "QWCPartition": estimation.build_qwc_partition(coeffs),
         "MultiTargetResult": estimation.fofe_multi_target(
             rho, samplers.UniformXSampler(3, 0.5), [phi], 4, rng),
-        "_Groups": estimation._Groups.of(np.array([2, 0, 2])),
         "MUBBasis": fam.bases[0],
         "MUBFamily": fam,
         "CoefficientTable": tomography.estimate_coefficients(
