@@ -1,8 +1,8 @@
 """Fidelity estimation via Pauli sampling.
 
 Modules:
-  f2          -- binary-symplectic Pauli algebra, the Pauli-expectation
-                 kernel, FWHT, F2 rank
+  f2          -- Paulis as word pairs (ax, az) and their symplectic
+                 product, the Pauli-expectation kernel, FWHT, F2 rank
   states      -- the two state types (pure StateVector; Mixture of pure
                  members plus white noise), state construction, phase
                  stripping, depolarizing noise, Born laws
@@ -23,9 +23,8 @@ __version__ = "0.1.0"
 
 from .errors import (CapExceededError, ConfigError, DimensionError,
                      NumericalHealthError)
-from .f2 import (CoeffVector, F2Matrix, PauliPoint, diagonalizing_frame,
-                 f2_rank, fwht, pauli_coefficients, pauli_expectation,
-                 symplectic_product)
+from .f2 import (CoeffVector, F2Matrix, f2_rank, fwht, pauli_coefficients,
+                 pauli_expectation_rows, symplectic_product)
 from .states import (Mixture, PhaseFunction, RealMPS, StateVector,
                      density_matrix, depolarize, dicke_state, exact_fidelity,
                      haar_random, hypergraph_state, mps_to_statevector,
@@ -35,9 +34,8 @@ __all__ = [
     "__version__",
     "CapExceededError", "ConfigError", "DimensionError",
     "NumericalHealthError",
-    "CoeffVector", "F2Matrix", "PauliPoint", "diagonalizing_frame",
-    "f2_rank", "fwht", "pauli_coefficients", "pauli_expectation",
-    "symplectic_product",
+    "CoeffVector", "F2Matrix", "f2_rank", "fwht", "pauli_coefficients",
+    "pauli_expectation_rows", "symplectic_product",
     "Mixture", "PhaseFunction", "RealMPS", "StateVector", "density_matrix",
     "depolarize", "dicke_state", "exact_fidelity", "haar_random",
     "hypergraph_state", "mps_to_statevector", "phase_state", "phase_strip",

@@ -494,6 +494,10 @@ def _apply_config(args: argparse.Namespace, options: dict) -> argparse.Namespace
     return args
 
 
+#: the largest count a numpy draw takes (counts are int64)
+_COUNT_MAX = 2**63 - 1
+
+
 def _shots_ladder(text) -> list:
     """The comma-separated shot counts of `--shots-ladder` (0: exact rows)."""
     try:
@@ -501,8 +505,9 @@ def _shots_ladder(text) -> list:
     except ValueError:
         raise ConfigError("--shots-ladder must be comma-separated integers, "
                           f"got {text!r}") from None
-    if min(ladder) < 0:
-        raise ConfigError(f"--shots-ladder entries must be >= 0, got {text!r}")
+    if min(ladder) < 0 or max(ladder) > _COUNT_MAX:
+        raise ConfigError(f"--shots-ladder entries must lie in 0..{_COUNT_MAX}, "
+                          f"got {text!r}")
     return ladder
 
 
@@ -511,6 +516,11 @@ def _validate(args) -> None:
         val = getattr(args, key, None)
         if val is not None and val < 1:
             raise ConfigError(f"--{key} must be >= 1, got {val}")
+    for key in ("shots", "samples", "dirichlet_samples", "workers"):
+        val = getattr(args, key, None)
+        if val is not None and val > _COUNT_MAX:
+            raise ConfigError(f"--{key.replace('_', '-')} must be <= {_COUNT_MAX}, "
+                              f"got {val}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     nmin = getattr(args, "nmin", None)
@@ -536,17 +546,19 @@ def _validate(args) -> None:
     if args.command == "dicke" and n > samplers.DICKE_QUBIT_CAP:
         raise CapExceededError(
             f"dicke capped at n <= {samplers.DICKE_QUBIT_CAP} (int64 words)")
-    if (family == "mps" or args.command == "mps-sample") and args.chi < 1:
-        raise ConfigError(f"--chi must be >= 1, got {args.chi}")
+    if family == "mps" or args.command == "mps-sample":
+        if args.chi < 1:
+            raise ConfigError(f"--chi must be >= 1, got {args.chi}")
+        if args.chi > states.MPS_BOND_CAP:
+            raise CapExceededError(
+                f"MPS bond dimension capped at chi <= {states.MPS_BOND_CAP}")
     if args.command == "tomography":
         _shots_ladder(args.shots_ladder)
         if args.n > tomography.MUB_QUBIT_CAP:
             raise CapExceededError(
                 f"tomography capped at n <= {tomography.MUB_QUBIT_CAP}")
-    if args.command == "mps-sample" and (args.n > states.MPS_QUBIT_CAP
-                                         or args.chi > states.MPS_BOND_CAP):
-        raise CapExceededError(f"mps-sample capped at n <= {states.MPS_QUBIT_CAP}, "
-                               f"chi <= {states.MPS_BOND_CAP}")
+    if args.command == "mps-sample" and args.n > states.MPS_QUBIT_CAP:
+        raise CapExceededError(f"mps-sample capped at n <= {states.MPS_QUBIT_CAP}")
     if args.command in ("run", "norms") and args.n > 10:
         raise CapExceededError("dense coefficient work capped at n <= 10")
     if args.command == "fig2a" and args.n > 10:

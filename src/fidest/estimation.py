@@ -36,10 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, DimensionError
-from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, PauliPoint,
-                 _apply_pauli_amps, diagonalizing_frame, fwht,
-                 pauli_coefficients, pauli_expectation_rows, pauli_phase,
-                 popcount_array, xor_diagonals)
+from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, _apply_pauli_amps,
+                 fwht, pauli_coefficients, pauli_expectation_rows,
+                 pauli_phase, popcount_array, xor_diagonals)
 from .samplers import CdfTable, ExactSampler, UniformXSampler
 from .states import PhaseFunction, StateVector, exact_fidelity, phase_strip
 
@@ -105,8 +104,8 @@ def _weights(sampler, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
     c = sampler.coefficients(ax, az)
     if np.any(np.abs(c) <= COEFF_TOL / 10):
         bad = np.argmin(np.abs(c))
-        raise AssertionError("sampled zero-coefficient point "
-                             f"{PauliPoint(sampler.n, int(ax[bad]), int(az[bad]))}")
+        raise AssertionError(f"sampled zero-coefficient point n={sampler.n} "
+                             f"ax={int(ax[bad]):#x} az={int(az[bad]):#x}")
     return sampler.norm_sum * np.abs(c) ** (1.0 - 2.0 * sampler.alpha) * np.sign(c)
 
 
@@ -139,11 +138,12 @@ def _frame_expectations(rho, ax: np.ndarray, az: np.ndarray, n: int) -> np.ndarr
     """<T_a>_rho as the mean parity a'.b of the computational outcome b
     after rotating into the diagonalizing frame of T_a: the measurement a
     device makes, and the reference the tests hold the engine's <T_a>
-    against."""
-    frames, aprimes = zip(*(diagonalizing_frame(PauliPoint(n, int(x), int(z)))
-                            for x, z in zip(ax, az)))
-    laws = _born_law_rows(rho, list(frames), n)
-    signs = _parity_signs(np.arange(1 << n) & np.array(aprimes)[:, None])
+    against.  Qubit by qubit the frame code bx (1 + bz) is 0, 1 or 2 for a
+    Z, X or Y measurement, and a' = ax | az marks the measured qubits."""
+    shift = np.arange(n - 1, -1, -1)
+    bx, bz = (ax[:, None] >> shift) & 1, (az[:, None] >> shift) & 1
+    laws = _born_law_rows(rho, bx * (1 + bz), n)
+    signs = _parity_signs(np.arange(1 << n) & (ax | az)[:, None])
     return np.sum(laws * signs, axis=1)
 
 
@@ -212,16 +212,16 @@ def phase_difference_table(phase: PhaseFunction, ax, x=None) -> np.ndarray:
     return np.mod(t[x ^ ax] - t[x], 2.0 * np.pi)
 
 
-def fofe_branch_amplitudes(psi: StateVector, a: PauliPoint,
+def fofe_branch_amplitudes(psi: StateVector, ax: int, az: int,
                            branch: str) -> np.ndarray:
     """(n+1)-qubit pre-measurement amplitudes of the Hadamard-test
-    circuit: ancilla |+> (most significant qubit), T_a applied on the
-    ancilla-0 block, H on the ancilla; the imaginary branch further
-    rotates the ancilla so a computational measurement realizes the Y
-    eigenbasis (+1 eigenvector <-> bit 0).  The circuit-level reference
-    for the closed-form laws of :func:`fofe_outcome_distribution`."""
+    circuit: ancilla |+> (most significant qubit), T_a with a = (ax, az)
+    applied on the ancilla-0 block, H on the ancilla; the imaginary branch
+    further rotates the ancilla so a computational measurement realizes
+    the Y eigenbasis (+1 eigenvector <-> bit 0).  The circuit-level
+    reference for the closed-form laws of :func:`fofe_outcome_distribution`."""
     amps = psi.amplitudes
-    b0 = _apply_pauli_amps(psi.n, a.ax, a.az, amps) / math.sqrt(2.0)
+    b0 = _apply_pauli_amps(psi.n, ax, az, amps) / math.sqrt(2.0)
     b1 = amps / math.sqrt(2.0)
     h0 = (b0 + b1) / math.sqrt(2.0)
     h1 = (b0 - b1) / math.sqrt(2.0)
@@ -282,9 +282,10 @@ def _computational_law(rho) -> np.ndarray:
     return xor_diagonals(rho, np.zeros(1, dtype=np.int64))[0].real
 
 
-def fofe_outcome_distribution(state, a: PauliPoint, branch: str) -> np.ndarray:
-    """Exact outcome distribution over (b1, b') of one FOFE branch."""
-    laws = _fofe_laws(state, np.array([a.ax]), np.array([a.az]), a.n, branch,
+def fofe_outcome_distribution(state, ax: int, az: int, branch: str) -> np.ndarray:
+    """Exact outcome distribution over (b1, b') of one FOFE branch, for the
+    Pauli a = (ax, az)."""
+    laws = _fofe_laws(state, np.array([ax]), np.array([az]), state.n, branch,
                       _computational_law(state))
     return np.clip(laws[0], 0.0, None)
 

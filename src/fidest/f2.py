@@ -15,14 +15,12 @@ so its matrix elements are
 T_a is Hermitian and T_a^2 = I.
 
 Qubit 1 is the *most significant* bit of every 2^n basis index and of the
-n-bit words ax, az, so qubit i sits at bit n - i.  :func:`qubit_bit` and
-:func:`qubit_mask` apply this rule with bounds checks; the loops in
-``magic`` and ``samplers`` and the array code in ``estimation`` shift bits
-by the same rule directly.
+n-bit words ax, az, so qubit i sits at bit n - i; every module shifts
+bits by this rule directly.
 
-Samplers hand points to the shot engine as word pairs (ax, az), two int64
-arrays per batch.  There the flat index (ax << n) | az
-(``PauliPoint.index``) only addresses dense 4^n arrays, such as
+Every Pauli is a word pair (ax, az): Python ints, or two int64 arrays for
+a batch, as the samplers hand them to the shot engine.  The flat index
+(ax << n) | az only addresses dense 4^n arrays, such as
 ``CoeffVector.values`` or a sampler's ``distribution()``.
 
 Every Pauli expectation comes from :func:`pauli_expectation_rows`, one
@@ -44,20 +42,6 @@ COEFF_TOL = 1e-10
 
 #: hard cap for dense 4^n coefficient vectors (cost O(8^n))
 COEFF_CAP = 10
-
-
-def qubit_bit(word: int, i: int, n: int) -> int:
-    """Bit of 1-based qubit ``i`` inside an n-bit word (qubit 1 = MSB)."""
-    if not 1 <= i <= n:
-        raise DimensionError(f"qubit index {i} outside 1..{n}")
-    return (word >> (n - i)) & 1
-
-
-def qubit_mask(i: int, n: int) -> int:
-    """Word with only the bit of 1-based qubit ``i`` set."""
-    if not 1 <= i <= n:
-        raise DimensionError(f"qubit index {i} outside 1..{n}")
-    return 1 << (n - i)
 
 
 #: i^k for k = 0..3, so that i^w is an exact table lookup
@@ -82,39 +66,10 @@ else:  # pragma: no cover - numpy < 2.0 fallback
         return out
 
 
-@dataclass(frozen=True)
-class PauliPoint:
-    """A point a = (ax, az) in F2^(2n) indexing the Pauli T_a."""
-
-    n: int
-    ax: int
-    az: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionError("need at least one qubit")
-        mask = (1 << self.n) - 1
-        if self.ax & ~mask or self.az & ~mask:
-            raise DimensionError(
-                f"words have bits beyond {self.n} qubits: ax={self.ax:#x} az={self.az:#x}"
-            )
-
-    @property
-    def index(self) -> int:
-        """Flat index into a 4^n coefficient vector: (ax << n) | az."""
-        return (self.ax << self.n) | self.az
-
-    @classmethod
-    def from_index(cls, n: int, index: int) -> "PauliPoint":
-        mask = (1 << n) - 1
-        return cls(n, (index >> n) & mask, index & mask)
-
-
-def symplectic_product(a: PauliPoint, b: PauliPoint) -> int:
-    """Symplectic form <a, b> mod 2; zero iff T_a and T_b commute."""
-    if a.n != b.n:
-        raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    return ((a.ax & b.az).bit_count() + (a.az & b.ax).bit_count()) & 1
+def symplectic_product(ax1, az1, ax2, az2):
+    """Symplectic form <a, b> mod 2 of word pairs a = (ax1, az1) and
+    b = (ax2, az2), broadcast; zero iff T_a and T_b commute."""
+    return popcount_array(np.asarray(ax1 & az2 ^ az1 & ax2, dtype=np.uint64)) & 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,13 +143,6 @@ def pauli_expectation_rows(state, words) -> np.ndarray:
     return out
 
 
-def pauli_expectation(state, a: PauliPoint) -> float:
-    """<T_a> of any state."""
-    if state.n != a.n:
-        raise DimensionError(f"state has {state.n} qubits, point has {a.n}")
-    return float(pauli_expectation_rows(state, [a.ax])[0, a.az])
-
-
 # ---------------------------------------------------------------------------
 # Dense coefficient vectors
 
@@ -202,7 +150,7 @@ def pauli_expectation(state, a: PauliPoint) -> float:
 @dataclass(frozen=True, eq=False)
 class CoeffVector:
     """Dense vector of Pauli coefficients c(a) = 2^-n <psi|T_a|psi>,
-    indexed by ``PauliPoint.index``."""
+    indexed by (ax << n) | az."""
 
     n: int
     values: np.ndarray = field(repr=False)
@@ -311,29 +259,3 @@ def f2_rank(m: F2Matrix) -> int:
         rows = [row ^ pivot if row & low else row for row in rows]
         rows = [row for row in rows if row]
     return rank
-
-
-# ---------------------------------------------------------------------------
-# Measurement frames
-
-
-FRAME_OF_BITS = {(0, 0): "Z", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
-
-
-def diagonalizing_frame(a: PauliPoint) -> tuple[tuple[str, ...], int]:
-    """Per-qubit measurement bases V with T_a = V Z^(a') V-dagger.
-
-    Returns the frame labels in {Z, X, Y} (qubit 1 first) and the word a'
-    with bit 1 exactly where (ax, az) != (0, 0).  Rotating the state into
-    the frame, measuring in the computational basis and taking the parity
-    a'.b reproduces the two-outcome POVM {(I + T_a)/2, (I - T_a)/2}.
-    """
-    labels = []
-    aprime = 0
-    for i in range(1, a.n + 1):
-        bx = qubit_bit(a.ax, i, a.n)
-        bz = qubit_bit(a.az, i, a.n)
-        labels.append(FRAME_OF_BITS[(bx, bz)])
-        if bx or bz:
-            aprime |= qubit_mask(i, a.n)
-    return tuple(labels), aprime

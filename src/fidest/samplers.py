@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
-from .f2 import COEFF_TOL, CoeffVector, PauliPoint, fwht, popcount_array
+from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, fwht, pauli_phase,
+                 popcount_array)
 from .states import RealMPS, StateVector
 
 BELL_TOTAL_QUBIT_CAP = 24
@@ -363,35 +364,49 @@ class MPSL2Sampler:
                 prev = weights[j]
         return ax, az
 
-    def expectation(self, a: PauliPoint) -> float:
-        """<T_a> by direct transfer contraction (real MPS)."""
-        w = bin(a.ax & a.az).count("1")
-        if w % 2 == 1:
-            return 0.0
-        vec = np.kron(self._mps.left, self._mps.left)
-        for i in range(self.n):
-            bx = (a.ax >> (self.n - 1 - i)) & 1
-            bz = (a.az >> (self.n - 1 - i)) & 1
-            vec = self._g[i, bx, bz].T @ vec
-        s = float(vec @ np.kron(self._mps.right, self._mps.right))
-        return (-1) ** (w // 2) * s
+    def _blocks(self, count: int):
+        """Slices over `count` word pairs, each holding about CHUNK_BYTES
+        of chi^4 transfer operators."""
+        step = max(1, CHUNK_BYTES // (8 * self.chi ** 4))
+        return [slice(lo, lo + step) for lo in range(0, count, step)]
 
-    def point_probability(self, a: PauliPoint) -> float:
-        """Chain-rule probability of one point (marginal telescoping)."""
-        lmat = self._l0
-        prob = None
-        for i in range(self.n):
-            bx = (a.ax >> (self.n - 1 - i)) & 1
-            bz = (a.az >> (self.n - 1 - i)) & 1
-            g = self._g[i, bx, bz]
-            lmat = g.T @ lmat @ g
-            prob = self._marginal(lmat, i + 1)
-        return max(float(prob), 0.0)
+    def _transfer(self, i: int, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
+        """The doubled transfer operator of site i (qubit i + 1) for each
+        word pair."""
+        shift = self.n - 1 - i
+        return self._g[i, (ax >> shift) & 1, (az >> shift) & 1]
+
+    def expectation(self, ax, az) -> np.ndarray:
+        """<T_(ax, az)> of each word pair by direct transfer contraction
+        (real MPS): the contraction times the real part of i^|ax & az|."""
+        ax, az = np.asarray(ax, dtype=np.int64), np.asarray(az, dtype=np.int64)
+        left = np.kron(self._mps.left, self._mps.left)
+        right = np.kron(self._mps.right, self._mps.right)
+        out = np.empty(ax.size)
+        for sl in self._blocks(ax.size):
+            vec = np.broadcast_to(left, (ax[sl].size, 1, left.size))
+            for i in range(self.n):
+                vec = vec @ self._transfer(i, ax[sl], az[sl])
+            out[sl] = vec[:, 0] @ right
+        return pauli_phase(ax, az).real * out
+
+    def point_probability(self, ax, az) -> np.ndarray:
+        """Chain-rule probability of each word pair (marginal telescoping)."""
+        ax, az = np.asarray(ax, dtype=np.int64), np.asarray(az, dtype=np.int64)
+        hm = self._right[self.n]
+        out = np.empty(ax.size)
+        for sl in self._blocks(ax.size):
+            lmat = np.broadcast_to(self._l0, (ax[sl].size,) + self._l0.shape)
+            for i in range(self.n):
+                g = self._transfer(i, ax[sl], az[sl])
+                lmat = g.transpose(0, 2, 1) @ lmat @ g
+            l4 = lmat.reshape((-1,) + (self.chi,) * 4)
+            out[sl] = np.einsum("zabcd,ac,bd->z", l4, hm, hm) * 2.0 ** (-self.n)
+        return np.maximum(out, 0.0)
 
     def distribution(self) -> np.ndarray:
         if self.n > 6:
             raise CapExceededError("dense MPS distribution capped at n <= 6")
-        out = np.empty(1 << (2 * self.n))
-        for idx in range(out.size):
-            out[idx] = self.point_probability(PauliPoint.from_index(self.n, idx))
+        ax, az = np.divmod(np.arange(1 << (2 * self.n)), 1 << self.n)
+        out = self.point_probability(ax, az)
         return out / out.sum()

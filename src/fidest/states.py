@@ -16,7 +16,7 @@ branches on the type:
                         ``f2.pauli_expectation_rows`` transforms them in
                         real arithmetic
   born_laws(frames)  -- computational outcome law after each frame rotation
-                        (frames as Z/X/Y label sequences or frame_codes)
+                        (frames as ``frame_codes`` arrays)
   fidelity(psi)      -- <psi|rho|psi>
   pure_ensemble()    -- (w, amps, u): rho = sum_k w_k |amps_k><amps_k|
                         + u I/2^n, the form the shot engine samples from
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
-from .f2 import PauliPoint, popcount_array, qubit_mask
+from .f2 import popcount_array
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -145,7 +145,7 @@ class PhaseFunction:
             x = np.arange(1 << self.n, dtype=np.uint64)
             parity = np.zeros(1 << self.n, dtype=np.uint64)
             for mono in self.monomials:
-                mask = np.uint64(sum(qubit_mask(i, self.n) for i in mono))
+                mask = np.uint64(sum(1 << (self.n - i) for i in mono))
                 parity ^= ((x & mask) == mask).astype(np.uint64)
             table = np.mod(np.pi * parity.astype(float), 2 * np.pi)
             table.flags.writeable = False
@@ -368,22 +368,12 @@ def mps_to_statevector(m: RealMPS) -> StateVector:
 
 
 def frame_codes(frames, n: int) -> np.ndarray:
-    """Frames as an integer array (len(frames), n) with entries 0, 1, 2
-    for the labels Z, X, Y; an integer array of that form passes as is."""
-    if isinstance(frames, np.ndarray) and frames.dtype.kind in "iu":
-        codes = frames.reshape(len(frames), n)
-        if codes.size and (codes.min() < 0 or codes.max() > 2):
-            raise ValueError("frame codes must be 0, 1 or 2")
-        return codes
-    codes = []
-    for frame in frames:
-        labels = tuple(frame)
-        if len(labels) != n:
-            raise DimensionError(f"frame has {len(labels)} labels, expected {n}")
-        if any(lab not in _FRAME_GATES for lab in labels):
-            raise ValueError(f"frame labels must be Z/X/Y, got {labels}")
-        codes.append([_FRAME_LABELS.index(lab) for lab in labels])
-    return np.array(codes, dtype=np.int64).reshape(len(codes), n)
+    """Frames as an integer array (len(frames), n) of per-qubit codes 0, 1
+    or 2 for a Z, X or Y measurement (qubit 1 first)."""
+    codes = np.asarray(frames, dtype=np.int64).reshape(len(frames), n)
+    if codes.size and (codes.min() < 0 or codes.max() > 2):
+        raise ValueError("frame codes must be 0, 1 or 2")
+    return codes
 
 
 def _rotate_leading(amps: np.ndarray, codes: np.ndarray) -> np.ndarray:

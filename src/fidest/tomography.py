@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
-from .f2 import PauliPoint, symplectic_product
+from .f2 import pauli_phase, popcount_array, symplectic_product
 
 MUB_QUBIT_CAP = 4
 
@@ -62,11 +62,12 @@ class MUBBasis:
     (columns of `vectors`, ordered by descending sorting eigenvalue)."""
 
     n: int
-    paulis: tuple  # the 2^n - 1 nontrivial PauliPoints of the class
+    paulis: np.ndarray = field(repr=False)  # (2, 2^n - 1): the class's words ax, az
     vectors: np.ndarray = field(repr=False)  # (2^n, 2^n), columns orthonormal
 
     def __post_init__(self) -> None:
         # read-only: one cached family is shared by every caller
+        self.paulis.flags.writeable = False
         self.vectors.flags.writeable = False
 
 
@@ -76,46 +77,46 @@ class MUBFamily:
     bases: tuple  # 2^n + 1 MUBBasis entries; the first is the Z class
 
 
-def _dense_pauli(a: PauliPoint) -> np.ndarray:
-    from .f2 import _apply_pauli_amps
-    dim = 1 << a.n
-    mat = np.zeros((dim, dim), dtype=complex)
-    for x in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[x] = 1.0
-        mat[:, x] = _apply_pauli_amps(a.n, a.ax, a.az, e)
+def _dense_pauli(n: int, ax, az) -> np.ndarray:
+    """The matrix of T_(ax, az): column x holds i^|ax & az| (-1)^|az & x|
+    in row x ^ ax."""
+    x = np.arange(1 << n, dtype=np.uint64)
+    ax, az = np.uint64(ax), np.uint64(az)
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    mat[x ^ ax, x] = pauli_phase(ax, az) * (1.0 - 2.0 * (popcount_array(az & x) & 1))
     return mat
 
 
-def _f2_independent_generators(paulis, n: int):
-    """Greedy maximal F2-independent subset of the class (n generators)."""
+def _f2_independent_generators(paulis: np.ndarray, n: int) -> np.ndarray:
+    """Greedy maximal F2-independent subset of the class (n generators),
+    by elimination of the flat indices (ax << n) | az in class order."""
+    ax, az = paulis
     pivots = {}
     gens = []
-    for a in paulis:
-        v = a.index
+    for j, v in enumerate((ax << n | az).tolist()):
         while v:
             hb = v.bit_length() - 1
             if hb in pivots:
                 v ^= pivots[hb]
             else:
                 pivots[hb] = v
-                gens.append(a)
+                gens.append(j)
                 break
         if len(gens) == n:
             break
     if len(gens) != n:
         raise NumericalHealthError("commuting class is not maximal")
-    return gens
+    return paulis[:, gens]
 
 
-def _class_eigenbasis(paulis, n: int) -> np.ndarray:
+def _class_eigenbasis(paulis: np.ndarray, n: int) -> np.ndarray:
     """Common eigenbasis of a commuting Pauli class via one Hermitian
     combination of n independent generators with injective eigenvalues
     (weights 3^j keep the spectrum well separated)."""
     dim = 1 << n
     h = np.zeros((dim, dim), dtype=complex)
-    for j, a in enumerate(_f2_independent_generators(paulis, n)):
-        h += (3.0 ** (j + 1)) * _dense_pauli(a)
+    for j, (ax, az) in enumerate(_f2_independent_generators(paulis, n).T):
+        h += (3.0 ** (j + 1)) * _dense_pauli(n, ax, az)
     # The spectrum is simple, so each eigenvector is unique up to phase.
     vecs = np.linalg.eigh(h)[1][:, ::-1]
     # deterministic global phase: the first entry of largest magnitude (up
@@ -142,22 +143,19 @@ def mub_family(n: int) -> MUBFamily:
             w = (w << 1) | _gf_trace(_gf_mul(e, basis[i], n), n)
         return w
 
-    classes = []
-    # Z class: {(0, z)}
-    classes.append(tuple(PauliPoint(n, 0, coords(z)) for z in range(1, 1 << n)))
+    coord = np.array([coords(e) for e in range(1 << n)], dtype=np.int64)
+    x = np.arange(1, 1 << n)
+    # Z class {(0, z)} first, then {(x, lam x)} for each lam in GF(2^n)
+    classes = [np.stack([np.zeros_like(x), coord[x]])]
     for lam in range(1 << n):
-        cls = tuple(PauliPoint(n, coords(x), coords(_gf_mul(lam, x, n)))
-                    for x in range(1, 1 << n))
-        classes.append(cls)
+        prod = [_gf_mul(lam, e, n) for e in range(1, 1 << n)]
+        classes.append(np.stack([coord[x], coord[prod]]))
     # verify commutation and the partition
-    seen = set()
-    for cls in classes:
-        for a, b in combinations(cls, 2):
-            if symplectic_product(a, b):
-                raise NumericalHealthError("MUB class fails to commute")
-        for a in cls:
-            seen.add(a.index)
-    if len(seen) != (1 << (2 * n)) - 1:
+    for ax, az in classes:
+        if symplectic_product(ax[:, None], az[:, None], ax, az).any():
+            raise NumericalHealthError("MUB class fails to commute")
+    flat = np.concatenate([ax << n | az for ax, az in classes])
+    if np.unique(flat).size != (1 << (2 * n)) - 1:
         raise NumericalHealthError("MUB classes do not partition the Paulis")
     bases = []
     for j, cls in enumerate(classes):

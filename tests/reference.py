@@ -1,9 +1,9 @@
 """Test-input builders and reference formulas that `fidest` itself never
 needs: gates applied to amplitude arrays, a density matrix as the
 mixture of its eigenvectors, an MPS amplitude read by direct contraction,
-dense <-> packed F2 matrices, the Pauli claims of a QWC partition, the
-all-complex Pauli expectation kernel, and two closed forms the Haar and
-Dirichlet tests compare against."""
+dense <-> packed F2 matrices, frame codes from Z/X/Y labels, the Pauli
+claims of a QWC partition, the all-complex Pauli expectation kernel, and
+two closed forms the Haar and Dirichlet tests compare against."""
 
 import math
 
@@ -59,6 +59,14 @@ def f2_to_dense(m: F2Matrix) -> np.ndarray:
         for j in range(m.cols):
             out[i, j] = (row >> j) & 1
     return out
+
+
+def label_codes(frames) -> np.ndarray:
+    """Frames written as Z/X/Y label sequences (qubit 1 first), as the
+    int64 code array (len(frames), n) that ``born_laws`` takes: 0, 1, 2
+    for Z, X, Y."""
+    return np.array([["ZXY".index(lab) for lab in frame] for frame in frames],
+                    dtype=np.int64)
 
 
 def partition_claims(part) -> list:

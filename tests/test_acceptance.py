@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import betaln
 
 from fidest import estimation, magic, samplers, states, tomography
-from fidest.f2 import PauliPoint, pauli_coefficients
+from fidest.f2 import pauli_coefficients
 from incomplete_beta import incomplete_beta_log
 from reference import apply_single_qubit
 

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fidest
-from fidest import cli, estimation, f2, magic, samplers
+from fidest import cli, estimation, f2, magic, samplers, states
 from reference import pauli_expectation_rows_complex
 
 
@@ -83,6 +83,21 @@ class TestExitCodes:
         assert code == 3
         assert f"capped at n <= {estimation.QWC_QUBIT_CAP}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("norms", "--family", "mps", "--n", "10", "--chi", "100000"),
+        ("run", "--family", "mps", "--n", "4", "--chi", "20"),
+        ("mps-sample", "--chi", str(states.MPS_BOND_CAP + 1)),
+    ], ids=" ".join)
+    def test_mps_bond_cap_before_build(self, capsys, monkeypatch, argv):
+        # the bond cap refuses the command before any MPS is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("MPS built above the bond cap")
+        monkeypatch.setattr(states, "random_real_mps", refuse)
+        code, _, err = run_cli(capsys, *argv, "--deterministic")
+        assert code == 3
+        assert f"chi <= {states.MPS_BOND_CAP}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command",
                              ["hypergraph-bounds", "haar-scan", "nldfe-compare"])
     def test_nmin_below_one(self, capsys, command):
@@ -100,6 +115,9 @@ class TestExitCodes:
         ("dicke", "--n", "8", "--k", "5"),
         ("tomography", "--shots-ladder", "10,abc"),
         ("tomography", "--shots-ladder", "-5"),
+        ("tomography", "--shots-ladder", "99999999999999999999"),
+        ("dicke", "--samples", "99999999999999999999"),
+        ("run", "--shots", "99999999999999999999"),
         ("fig2a", "--n", "3", "--fidelity", "2"),
         ("mps-sample", "--chi", "0"),
         ("norms", "--family", "mps", "--chi", "0"),

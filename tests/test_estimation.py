@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from fidest import cli, estimation, samplers, states
 from fidest.errors import ConfigError
-from fidest.f2 import PauliPoint, fwht, pauli_coefficients
-from reference import partition_claims, spectral_mixture
+from fidest.f2 import fwht, pauli_coefficients
+from reference import label_codes, partition_claims, spectral_mixture
 
 
 def random_pure_pair(n, rng):
@@ -111,8 +111,7 @@ class TestFOFE:
         rng = np.random.default_rng(7)
         psi = states.haar_random(2, rng)
         for branch in ("real", "imag"):
-            probs = estimation.fofe_outcome_distribution(
-                psi, PauliPoint(2, 0b10, 0), branch)
+            probs = estimation.fofe_outcome_distribution(psi, 0b10, 0, branch)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert (probs >= -1e-15).all()
 
@@ -360,11 +359,12 @@ class TestExactLawOracles:
         rng = np.random.default_rng(seed)
         psi = states.haar_random(n, rng)
         for index in rng.integers(0, 4**n, 4):
-            a = PauliPoint.from_index(n, int(index))
+            ax, az = divmod(int(index), 1 << n)
             for branch in ("real", "imag"):
-                want = np.abs(estimation.fofe_branch_amplitudes(psi, a, branch))**2
+                want = np.abs(estimation.fofe_branch_amplitudes(
+                    psi, ax, az, branch))**2
                 assert np.allclose(estimation.fofe_outcome_distribution(
-                    psi, a, branch), want, atol=1e-12, rtol=0)
+                    psi, ax, az, branch), want, atol=1e-12, rtol=0)
 
     @settings(max_examples=15, deadline=None)
     @given(noisy_targets)
@@ -392,12 +392,13 @@ class TestExactLawOracles:
         dense = states.Mixture(n, (), (), 1.0)
         b1, b = np.arange(8) >> n, np.arange(8) & 3
         for index in range(16):
-            a = PauliPoint.from_index(n, index)
-            parity = np.array([bin(a.az & x).count("1") & 1 for x in b])
-            real = (1 + (-1.0)**b1 * (a.ax == 0) * (-1.0)**parity) / 8
+            ax, az = divmod(index, 1 << n)
+            parity = np.array([bin(az & x).count("1") & 1 for x in b])
+            real = (1 + (-1.0)**b1 * (ax == 0) * (-1.0)**parity) / 8
             for branch, want in (("real", real), ("imag", np.full(8, 1 / 8))):
                 for state in (mixed, dense):
-                    got = estimation.fofe_outcome_distribution(state, a, branch)
+                    got = estimation.fofe_outcome_distribution(state, ax, az,
+                                                               branch)
                     assert np.allclose(got, want, atol=1e-15, rtol=0)
 
     def test_inverse_cdf_quantiles(self):
@@ -408,7 +409,7 @@ class TestExactLawOracles:
         # law is the WHT of its row over 4
         t = fwht(laws)
         outcomes = estimation._group_outcomes(
-            states.frame_codes(["ZZ", "XX"], 2),
+            label_codes(["ZZ", "XX"]),
             lambda ax, az: np.where(ax == 0, t[0][az], t[1][ax]))
         k = 400
         u = (np.arange(k) + 0.5) / k
@@ -631,7 +632,7 @@ def test_partition_matches_sequential_claims(n, ordering):
         part = estimation.build_qwc_partition(coeffs, ordering)
         want = sequential_partition(coeffs, frames)
         assert part.groups.frame.tolist() == \
-            states.frame_codes([frame for frame, _, _ in want], n).tolist()
+            label_codes([frame for frame, _, _ in want]).tolist()
         assert partition_claims(part) == [claimed for _, claimed, _ in want]
         for g, (_, _, c_s) in zip(part.groups, want):
             assert np.array_equal(g.chat, fwht(c_s))

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidest import f2
+from fidest import estimation, f2
 from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
 from fidest.states import (PhaseFunction, StateVector, complete_3_hypergraph_edges,
                            density_matrix, depolarize, dicke_state, haar_random,
                            hypergraph_state, mps_to_statevector, phase_state,
                            phase_strip, random_real_mps)
-from reference import f2_from_dense, pauli_expectation_rows_complex
+from reference import f2_from_dense, label_codes, pauli_expectation_rows_complex
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -21,12 +21,11 @@ Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def dense_pauli(a: f2.PauliPoint) -> np.ndarray:
+def dense_pauli(n: int, ax: int, az: int) -> np.ndarray:
     """Independent dense oracle: T_a = tensor_i i^(axi azi) X^axi Z^azi."""
     mat = np.eye(1, dtype=complex)
-    for i in range(1, a.n + 1):
-        bx = f2.qubit_bit(a.ax, i, a.n)
-        bz = f2.qubit_bit(a.az, i, a.n)
+    for shift in range(n - 1, -1, -1):
+        bx, bz = (ax >> shift) & 1, (az >> shift) & 1
         local = (1j ** (bx * bz)) * (np.linalg.matrix_power(X, bx)
                                      @ np.linalg.matrix_power(Z, bz))
         mat = np.kron(mat, local)
@@ -34,94 +33,91 @@ def dense_pauli(a: f2.PauliPoint) -> np.ndarray:
 
 
 def random_point(n, rng):
-    return f2.PauliPoint(n, int(rng.integers(0, 1 << n)),
-                         int(rng.integers(0, 1 << n)))
+    return int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
 
 
 class TestSymplecticProduct:
     def test_anticommuting_pair(self):
-        a = f2.PauliPoint(1, 1, 0)
-        b = f2.PauliPoint(1, 0, 1)
-        assert f2.symplectic_product(a, b) == 1
+        assert f2.symplectic_product(1, 0, 0, 1) == 1
 
     def test_self_commutation(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            a = random_point(3, rng)
-            assert f2.symplectic_product(a, a) == 0
+            ax, az = random_point(3, rng)
+            assert f2.symplectic_product(ax, az, ax, az) == 0
 
     def test_xx_zz_commute(self):
-        a = f2.PauliPoint(2, 0b11, 0)
-        b = f2.PauliPoint(2, 0, 0b11)
-        assert f2.symplectic_product(a, b) == 0
+        assert f2.symplectic_product(0b11, 0, 0, 0b11) == 0
 
     def test_matches_dense_commutator_exhaustive(self):
         for n in (1, 2):
-            for axa, aza, axb, azb in itertools.product(range(1 << n), repeat=4):
-                a = f2.PauliPoint(n, axa, aza)
-                b = f2.PauliPoint(n, axb, azb)
-                ta, tb = dense_pauli(a), dense_pauli(b)
+            words = np.arange(1 << n)
+            axa, aza, axb, azb = np.meshgrid(words, words, words, words,
+                                             indexing="ij")
+            got = f2.symplectic_product(axa, aza, axb, azb)
+            for idx in itertools.product(range(1 << n), repeat=4):
+                ta = dense_pauli(n, idx[0], idx[1])
+                tb = dense_pauli(n, idx[2], idx[3])
                 commute = np.allclose(ta @ tb, tb @ ta)
-                assert f2.symplectic_product(a, b) == (0 if commute else 1)
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionError):
-            f2.symplectic_product(f2.PauliPoint(1, 0, 1), f2.PauliPoint(2, 0, 1))
+                assert got[idx] == (0 if commute else 1)
 
 
-def apply_pauli(a: f2.PauliPoint, amps: np.ndarray) -> np.ndarray:
-    return f2._apply_pauli_amps(a.n, a.ax, a.az, amps)
+def apply_pauli(n: int, ax: int, az: int, amps: np.ndarray) -> np.ndarray:
+    return f2._apply_pauli_amps(n, ax, az, amps)
 
 
 class TestApplyPauli:
     def test_plus_is_x_eigenstate(self):
         plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        assert np.allclose(apply_pauli(f2.PauliPoint(1, 1, 0), plus), plus)
+        assert np.allclose(apply_pauli(1, 1, 0, plus), plus)
 
     def test_y_on_zero(self):
         zero = np.array([1, 0], dtype=complex)
-        assert np.allclose(apply_pauli(f2.PauliPoint(1, 1, 1), zero), [0, 1j])
+        assert np.allclose(apply_pauli(1, 1, 1, zero), [0, 1j])
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            a = random_point(3, rng)
+            ax, az = random_point(3, rng)
             amps = haar_random(3, rng).amplitudes
-            assert np.allclose(apply_pauli(a, amps), dense_pauli(a) @ amps)
+            assert np.allclose(apply_pauli(3, ax, az, amps),
+                               dense_pauli(3, ax, az) @ amps)
 
     def test_involution(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            a = random_point(3, rng)
+            ax, az = random_point(3, rng)
             amps = haar_random(3, rng).amplitudes
-            assert np.allclose(apply_pauli(a, apply_pauli(a, amps)), amps)
+            assert np.allclose(apply_pauli(3, ax, az, apply_pauli(3, ax, az, amps)),
+                               amps)
+
+
+def expectation(state, ax: int, az: int) -> float:
+    """<T_(ax, az)> of a state: one entry of the kernel's row for ax."""
+    return float(f2.pauli_expectation_rows(state, [ax])[0, az])
 
 
 class TestPauliExpectation:
     def test_all_plus_all_x(self):
         n = 3
         plus = StateVector(n, np.full(1 << n, 2 ** (-n / 2), dtype=complex))
-        assert f2.pauli_expectation(plus, f2.PauliPoint(n, (1 << n) - 1, 0)) \
-            == pytest.approx(1.0)
+        assert expectation(plus, (1 << n) - 1, 0) == pytest.approx(1.0)
 
     def test_real_state_imaginary_operator(self):
         zero = StateVector(1, np.array([1, 0], dtype=complex))
-        assert f2.pauli_expectation(zero, f2.PauliPoint(1, 1, 1)) \
-            == pytest.approx(0.0)
+        assert expectation(zero, 1, 1) == pytest.approx(0.0)
 
     def test_t_state_x(self):
         t = StateVector.normalized([1, np.exp(1j * np.pi / 4)])
-        assert f2.pauli_expectation(t, f2.PauliPoint(1, 1, 0)) \
-            == pytest.approx(0.70710678, abs=1e-8)
+        assert expectation(t, 1, 0) == pytest.approx(0.70710678, abs=1e-8)
 
     def test_matches_dense_trace(self):
         rng = np.random.default_rng(3)
         psi = haar_random(2, rng)
         rho = density_matrix(psi)
-        for idx in range(16):
-            a = f2.PauliPoint.from_index(2, idx)
-            want = np.trace(rho @ dense_pauli(a)).real
-            assert f2.pauli_expectation(psi, a) == pytest.approx(want, abs=1e-12)
+        for ax, az in itertools.product(range(4), repeat=2):
+            want = np.trace(rho @ dense_pauli(2, ax, az)).real
+            assert expectation(psi, ax, az) == pytest.approx(want, abs=1e-12)
 
     def test_imaginary_residual_is_checked(self):
         class Skewed:  # XOR diagonals of a matrix that is not Hermitian
@@ -209,10 +205,9 @@ class TestPauliCoefficients:
         psi = haar_random(2, rng)
         c = f2.pauli_coefficients(psi)
         rho = density_matrix(psi)
-        for idx in range(16):
-            a = f2.PauliPoint.from_index(2, idx)
-            want = np.trace(rho @ dense_pauli(a)).real / 4
-            assert c.values[a.index] == pytest.approx(want, abs=1e-12)
+        for ax, az in itertools.product(range(4), repeat=2):
+            want = np.trace(rho @ dense_pauli(2, ax, az)).real / 4
+            assert c.values[ax << 2 | az] == pytest.approx(want, abs=1e-12)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -301,25 +296,45 @@ class TestF2Rank:
 
 
 class TestDiagonalizingFrame:
+    """``estimation._frame_expectations`` measures T_a in the frame whose
+    code on each qubit is bx (1 + bz) (Z, X, Y = 0, 1, 2) and reads the
+    parity of the qubits in ax | az."""
+
     def test_all_z(self):
-        labels, aprime = f2.diagonalizing_frame(f2.PauliPoint(3, 0, 0b111))
-        assert labels == ("Z", "Z", "Z")
-        assert aprime == 0b111
+        # computational states are Z eigenstates: only an all-Z frame
+        # reads <Z^az> = (-1)^(az.b) exactly
+        n = 3
+        for b in range(1 << n):
+            psi = StateVector(n, np.eye(1 << n, dtype=complex)[b])
+            az = np.arange(1 << n)
+            got = estimation._frame_expectations(psi, np.zeros_like(az), az, n)
+            assert np.array_equal(got, 1.0 - 2.0 * (f2.popcount_array(
+                (az & b).astype(np.uint64)) & 1))
 
     def test_x_on_first_qubit(self):
-        labels, aprime = f2.diagonalizing_frame(f2.PauliPoint(2, 0b10, 0))
-        assert labels == ("X", "Z")
-        assert aprime == 0b10
+        # |+>|0> and |->|1>: X on qubit 1 reads +1 and -1, X on qubit 2 reads 0
+        plus_zero = StateVector.normalized([1, 0, 1, 0])
+        minus_one = StateVector.normalized([0, 1, 0, -1])
+        ax, az = np.array([0b10, 0b01]), np.zeros(2, dtype=np.int64)
+        assert np.allclose(estimation._frame_expectations(plus_zero, ax, az, 2),
+                           [1.0, 0.0], atol=1e-12)
+        assert np.allclose(estimation._frame_expectations(minus_one, ax, az, 2),
+                           [-1.0, 0.0], atol=1e-12)
 
     def test_parity_statistics_match_expectation(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            a = random_point(2, rng)
-            psi = haar_random(2, rng)
-            labels, aprime = f2.diagonalizing_frame(a)
-            probs = psi.born_laws([labels])[0]
-            parity_expect = sum(
-                p * (-1) ** (bin(aprime & b).count("1") & 1)
-                for b, p in enumerate(probs))
-            assert parity_expect == pytest.approx(
-                f2.pauli_expectation(psi, a), abs=1e-10)
+        # every word at n = 3: the Born law in the frame read from the
+        # labels of (bx, bz), and the parity over ax | az, give <T_a>
+        n = 3
+        ax, az = np.divmod(np.arange(4**n), 1 << n)
+        shifts = range(n - 1, -1, -1)
+        labels = [["ZXZY"[(x >> s & 1) + 2 * (z >> s & 1)] for s in shifts]
+                  for x, z in zip(ax.tolist(), az.tolist())]
+        psi = haar_random(n, np.random.default_rng(9))
+        laws = psi.born_laws(label_codes(labels))
+        parity = f2.popcount_array(((ax | az)[:, None] & np.arange(1 << n))
+                                   .astype(np.uint64)) & 1
+        want = f2.pauli_expectation_rows(psi, np.arange(1 << n)).reshape(-1)
+        assert np.allclose(np.sum(laws * (1.0 - 2.0 * parity), axis=1), want,
+                           atol=1e-10)
+        assert np.allclose(estimation._frame_expectations(psi, ax, az, n), want,
+                           atol=1e-10)

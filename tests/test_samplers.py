@@ -13,7 +13,7 @@ import pytest
 
 from fidest import samplers, states
 from fidest.errors import CapExceededError, NumericalHealthError
-from fidest.f2 import PauliPoint, pauli_coefficients
+from fidest.f2 import pauli_coefficients
 
 
 def exact_law(psi, alpha):
@@ -178,23 +178,22 @@ class TestMPSL2Sampler:
         mps = states.random_real_mps(n, chi, np.random.default_rng(11))
         c = pauli_coefficients(states.mps_to_statevector(mps))
         s = samplers.MPSL2Sampler(mps)
-        for idx in range(1 << (2 * n)):
-            a = PauliPoint.from_index(n, idx)
-            assert s.expectation(a) / (1 << n) == pytest.approx(
-                c.values[idx], abs=1e-9)
+        ax, az = np.divmod(np.arange(1 << (2 * n)), 1 << n)
+        assert np.allclose(s.expectation(ax, az) / (1 << n), c.values,
+                           atol=1e-9, rtol=0)
 
     def test_point_probability_telescopes(self):
         mps = states.random_real_mps(4, 2, np.random.default_rng(14))
         s = samplers.MPSL2Sampler(mps)
         dist = s.distribution()
-        for idx in (0, 17, 100, 255):
-            a = PauliPoint.from_index(4, idx)
-            assert s.point_probability(a) == pytest.approx(
-                dist[idx], abs=1e-9)
+        ax, az = np.divmod(np.arange(1 << 8), 1 << 4)
+        prob = s.point_probability(ax, az)
+        assert np.allclose(prob, dist, atol=1e-9, rtol=0)
+        assert prob.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_large_instance_runs(self):
         mps = states.random_real_mps(12, 8, np.random.default_rng(15))
         s = samplers.MPSL2Sampler(mps)
         ax, az = s.draw(np.random.default_rng(16), 1)
         # probability of the drawn point should be positive
-        assert s.point_probability(PauliPoint(12, int(ax[0]), int(az[0]))) > 0
+        assert s.point_probability(ax, az)[0] > 0

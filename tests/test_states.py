@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fidest import estimation, f2, samplers, states, tomography
 from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
-from reference import apply_phase, mps_amplitude, spectral_mixture
+from reference import apply_phase, label_codes, mps_amplitude, spectral_mixture
 
 
 class TestStateVector:
@@ -242,7 +242,8 @@ class TestMixture:
         white = states.Mixture(n, (), (), 1.0)
         psi, _ = self._members()
         assert np.array_equal(states.density_matrix(white), np.eye(4) / 4)
-        assert np.array_equal(white.born_laws([("X", "Y")]), np.full((1, 4), 1 / 4))
+        assert np.array_equal(white.born_laws(label_codes([("X", "Y")])),
+                              np.full((1, 4), 1 / 4))
         assert white.fidelity(psi) == 1 / 4
         weights, amps, mixed = white.pure_ensemble()
         assert weights.size == 0 and amps.shape == (0, 4) and mixed == 1.0
@@ -299,7 +300,7 @@ class TestFrames:
         u = np.eye(1, dtype=complex)
         for lab in labels:
             u = np.kron(u, states._FRAME_GATES[lab])
-        codes = states.frame_codes([labels], 3)
+        codes = label_codes([labels])
         assert np.allclose(states._rotate_leading(psi.amplitudes, codes)[0],
                            u @ psi.amplitudes)
 
@@ -307,7 +308,7 @@ class TestFrames:
 class TestMeasurement:
     def test_born_probabilities_sum(self):
         psi = states.haar_random(3, np.random.default_rng(13))
-        probs = psi.born_laws([("Z", "X", "Y")])[0]
+        probs = psi.born_laws(label_codes([("Z", "X", "Y")]))[0]
         assert probs.sum() == pytest.approx(1.0)
         assert (probs >= 0).all()
 
@@ -319,11 +320,11 @@ class TestMeasurement:
         rng = np.random.default_rng(seed)
         psi = states.haar_random(2, rng)
         mix = states.depolarize(psi, 0.5)
-        frame = ("X", "Y")
-        probs = mix.born_laws([frame])[0]
+        frame = label_codes([("X", "Y")])
+        probs = mix.born_laws(frame)[0]
         assert probs.sum() == pytest.approx(1.0)
         spectral = spectral_mixture(states.density_matrix(mix))
-        assert np.allclose(probs, spectral.born_laws([frame])[0], atol=1e-12)
+        assert np.allclose(probs, spectral.born_laws(frame)[0], atol=1e-12)
 
 
 def _array_holders():

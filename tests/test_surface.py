@@ -43,8 +43,6 @@ ALLOWED = {
         "test oracle: one FOFE branch law; the benchmark tracer wraps it",
     "estimation.fofe_multi_target":
         "multi-target FOFE from one outcome stream (acceptance criterion 9)",
-    "f2.pauli_expectation":
-        "one-point form of the expectation kernel; the benchmark tracer wraps it",
     "magic.complete3_l1_exact":
         "exact complete-3-hypergraph l1, to be reported by fig2a",
     "magic.complete3_variance_bounds":

@@ -33,28 +33,26 @@ class TestMUBFamily:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_classes_partition_paulis(self, n):
         fam = tomography.mub_family(n)
-        seen = set()
+        flat = []
         for b in fam.bases:
-            assert len(b.paulis) == (1 << n) - 1
-            for a in b.paulis:
-                assert a.index not in seen
-                seen.add(a.index)
+            ax, az = b.paulis
+            assert ax.shape == az.shape == ((1 << n) - 1,)
+            flat.append(ax << n | az)
             # each class is internally commuting
-            for a in b.paulis:
-                for c in b.paulis:
-                    assert symplectic_product(a, c) == 0
-        assert len(seen) == (1 << (2 * n)) - 1
+            assert not symplectic_product(ax[:, None], az[:, None], ax, az).any()
+        flat = np.concatenate(flat)
+        # every nontrivial Pauli exactly once
+        assert np.array_equal(np.sort(flat), np.arange(1, 1 << (2 * n)))
 
     def test_z_class_first(self):
         fam = tomography.mub_family(2)
-        for a in fam.bases[0].paulis:
-            assert a.ax == 0
+        assert not fam.bases[0].paulis[0].any()
 
     def test_eigenbasis_diagonalizes_class(self):
         fam = tomography.mub_family(3)
         for b in fam.bases:
-            for a in b.paulis:
-                m = tomography._dense_pauli(a)
+            for ax, az in b.paulis.T:
+                m = tomography._dense_pauli(3, ax, az)
                 d = b.vectors.conj().T @ m @ b.vectors
                 off = d - np.diag(np.diag(d))
                 assert np.max(np.abs(off)) < 1e-10
@@ -82,8 +80,8 @@ class TestClassEigenbasis:
     def generator_sums(n):
         for b in tomography.mub_family(n).bases[1:]:
             gens = tomography._f2_independent_generators(b.paulis, n)
-            h = sum(3.0 ** (j + 1) * tomography._dense_pauli(a)
-                    for j, a in enumerate(gens))
+            h = sum(3.0 ** (j + 1) * tomography._dense_pauli(n, ax, az)
+                    for j, (ax, az) in enumerate(gens.T))
             yield b.paulis, h
 
     def test_reconstructs_generator_sum(self):
