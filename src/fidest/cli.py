@@ -512,10 +512,10 @@ def _shots_ladder(text) -> list:
 
 
 def _validate(args) -> None:
-    for key in ("shots", "samples", "workers", "nmin"):
+    for key in ("shots", "samples", "dirichlet_samples", "workers", "nmin"):
         val = getattr(args, key, None)
         if val is not None and val < 1:
-            raise ConfigError(f"--{key} must be >= 1, got {val}")
+            raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {val}")
     for key in ("shots", "samples", "dirichlet_samples", "workers"):
         val = getattr(args, key, None)
         if val is not None and val > _COUNT_MAX:

@@ -16,12 +16,13 @@ All three run on one batched shot engine:
      target's coefficient table when rho is the target under
      depolarizing noise, else one Walsh-Hadamard transform per distinct
      a_x;
-   - FOFE: b' from its marginal law, then b1 given b' (``_fofe_outcomes``);
+   - FOFE: b' from its marginal law, then b1 given b', kept per branch as
+     the pair (b', (-1)^b1) (``_fofe_outcomes``);
    - NLDFE: the frame outcome from its group's Born law, formed once, when
      the group is first drawn, by one WHT of the group's <T_a> (read as
      for DFE), then one guided inverse-CDF search per shot
      (``_group_outcomes``);
-3. post-process all shot values in one pass.
+3. post-process all shot values in one pass (FOFE's from cos/sin tables).
 
 The exact per-label laws (``_fofe_laws``, ``born_laws``, <T_a>) give each
 scheme's single-shot value law (``*_value_law``), the oracle the tests
@@ -36,9 +37,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, DimensionError
-from .f2 import (CHUNK_BYTES, COEFF_TOL, CoeffVector, _apply_pauli_amps,
-                 fwht, pauli_coefficients, pauli_expectation_rows,
-                 pauli_phase, popcount_array, xor_diagonals)
+from .f2 import (_REAL_POWERS_OF_I, CHUNK_BYTES, COEFF_TOL, CoeffVector,
+                 _apply_pauli_amps, fwht, pauli_coefficients,
+                 pauli_expectation_rows, pauli_phase, popcount_array,
+                 xor_diagonals)
 from .samplers import CdfTable, ExactSampler, UniformXSampler
 from .states import PhaseFunction, StateVector, exact_fidelity, phase_strip
 
@@ -205,7 +207,7 @@ def dfe_expected_value(rho, sampler) -> float:
 
 def phase_difference_table(phase: PhaseFunction, ax, x=None) -> np.ndarray:
     """phi^(a)(x) = phi(x ^ a_x) - phi(x) mod 2pi: over every x as a dense
-    table, or at the given x (ax and x broadcast)."""
+    table, or at the given x (ax and x broadcast); for the value laws."""
     t = phase.table()
     if x is None:
         x = np.arange(t.shape[0])
@@ -238,13 +240,11 @@ def _fofe_cross(rho, ax, az, b, branch: str) -> np.ndarray:
     """2 Re z(b') (real branch) or 2 Im z(b') (imaginary branch), with
     z(b') = <b'|T_a rho|b'> = i^|ax & az| (-1)^(az.(b' ^ ax))
     conj(rho[b', b' ^ ax]); the arguments broadcast."""
+    if branch not in ("real", "imag"):
+        raise ConfigError(f"unknown branch {branch!r}")
     z = (pauli_phase(ax, az) * _parity_signs(az & (b ^ ax))
          * np.conj(rho.entries(b, b ^ ax)))
-    if branch == "real":
-        return 2.0 * z.real
-    if branch == "imag":
-        return 2.0 * z.imag
-    raise ConfigError(f"unknown branch {branch!r}")
+    return 2.0 * (z.real if branch == "real" else z.imag)
 
 
 def _fofe_laws(rho, ax: np.ndarray, az: np.ndarray, n: int, branch: str,
@@ -261,21 +261,31 @@ def _fofe_laws(rho, ax: np.ndarray, az: np.ndarray, n: int, branch: str,
     return np.concatenate([both + cross, both - cross], axis=1) / 4.0
 
 
-def _fofe_outcomes(rho, ax: np.ndarray, az: np.ndarray, n: int, branch: str,
-                   diag: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One outcome (b1 << n) | b' per shot, drawn exactly from the law of
-    ``_fofe_laws`` without forming it, at O(1) cost per shot: b' from its
-    marginal (d(b') + d(b' ^ ax)) / 2, as a computational outcome y ~ d
-    flipped by ax with probability 1/2, then b1 from
-    P(b1 = 0 | b') = 1/2 + cross(b') / (2 (d(b') + d(b' ^ ax))).
-    u holds three uniforms per shot, shape (3, shots)."""
+def _fofe_outcomes(rho, diag: np.ndarray):
+    """outcomes(ax, az, branch, u): one outcome (b', (-1)^b1) of the branch
+    per shot from three uniforms, exactly by the law of ``_fofe_laws``:
+    b' = y ~ d or y ^ ax with equal odds, then b1 by P(b1 = 0 | b') =
+    1/2 + cross / (2 (d(b') + d(b' ^ ax))), with ``_fofe_cross`` in real
+    arithmetic: cross / 2 = Re(i^m conj(e)) = Re i^m Re e + Re i^(m-1) Im e
+    (one term exactly 0) for e = rho[b', b' ^ ax] and i^m = i^|ax & az|
+    (-1)^(az.(b' ^ ax)) on the real branch, i^(m-1) on the imaginary one."""
     d = np.clip(diag, 0.0, None)
     cum = np.cumsum(d)
-    y = CdfTable(cum).search(u[0] * cum[-1])
-    b = np.where(u[1] < 0.5, y, y ^ ax)
-    both = d[b] + d[b ^ ax]  # >= d(y) > 0
-    p0 = 0.5 + _fofe_cross(rho, ax, az, b, branch) / (2.0 * both)
-    return ((u[2] >= p0).astype(np.int64) << n) | b
+    computational = CdfTable(cum)
+
+    def outcomes(ax, az, branch: str, u: np.ndarray):
+        y = computational.search(u[0] * cum[-1])
+        b = y ^ (ax & -(u[1] >= 0.5).astype(ax.dtype))  # y ^ ax half the time
+        flip = b ^ ax
+        m = (popcount_array(ax & az) + 2 * popcount_array(az & flip)
+             + (3 if branch == "imag" else 0))
+        e = rho.entries(b, flip)
+        half = _REAL_POWERS_OF_I[m & 3] * e.real
+        if np.iscomplexobj(e):
+            half += _REAL_POWERS_OF_I[(m + 3) & 3] * e.imag
+        p0 = 0.5 + half / (d[b] + d[flip])  # d(b') + d(b' ^ ax) >= d(y) > 0
+        return b, 1.0 - 2.0 * (u[2] >= p0)
+    return outcomes
 
 
 def _computational_law(rho) -> np.ndarray:
@@ -283,46 +293,36 @@ def _computational_law(rho) -> np.ndarray:
 
 
 def fofe_outcome_distribution(state, ax: int, az: int, branch: str) -> np.ndarray:
-    """Exact outcome distribution over (b1, b') of one FOFE branch, for the
-    Pauli a = (ax, az)."""
+    """Exact outcome law over (b1, b') of one FOFE branch for a = (ax, az)."""
     laws = _fofe_laws(state, np.array([ax]), np.array([az]), state.n, branch,
                       _computational_law(state))
     return np.clip(laws[0], 0.0, None)
 
 
-def _branches(phases) -> tuple:
-    """The real branch, plus the imaginary one unless every phase is real."""
-    return ("real",) if all(phi.is_real() for phi in phases) else ("real", "imag")
-
-
-def _fofe_post_process(phi: PhaseFunction, ax, w, outcomes: dict, n: int):
-    """Shot values w (-1)^b1 cos phi^(a)(b') [+ w (-1)^b1 sin phi^(a)(b')
-    on the imaginary branch's own outcome] for one phase function."""
-    mask = (1 << n) - 1
-    o = outcomes["real"]
-    values = w * (1 - 2 * (o >> n)) * np.cos(phase_difference_table(phi, ax, o & mask))
-    if not phi.is_real():
-        o = outcomes["imag"]
-        values += w * (1 - 2 * (o >> n)) * np.sin(
-            phase_difference_table(phi, ax, o & mask))
-    return values
-
-
 def _fofe_values(rho, sampler, phases, shots: int, rng: np.random.Generator):
     """Shot values of every phase function from one shared outcome stream:
-    an array (len(phases), shots), and the circuit executions used."""
-    n = sampler.n
-    diag = _computational_law(rho)
-    branches = _branches(phases)
+    an array (len(phases), shots), and the circuit executions used.  A value
+    is w (-1)^b1 cos phi^(a)(b') [+ the same with sin on the imaginary
+    branch's own outcome], read from cos phi and sin phi formed once a call."""
+    outcomes = _fofe_outcomes(rho, _computational_law(rho))
+    tables = [(np.cos(phi.table()), np.sin(phi.table())) for phi in phases]
+    real = [phi.is_real() for phi in phases]
+    branches = ("real",) if all(real) else ("real", "imag")
 
     def block(count: int) -> np.ndarray:
         ax, az = sampler.draw(rng, count)
-        outcomes = {branch: _fofe_outcomes(rho, ax, az, n, branch, diag,
-                                           rng.random((3, count)))
-                    for branch in branches}
+        drawn = [outcomes(ax, az, branch, rng.random((3, count)))
+                 for branch in branches]
         w = _weights(sampler, ax, az)
-        return np.array([_fofe_post_process(phi, ax, w, outcomes, n)
-                         for phi in phases])
+        signed = [(b, b ^ ax, w * sign) for b, sign in drawn]
+        values = np.empty((len(tables), count))
+        for row, (cos, sin), real_phase in zip(values, tables, real):
+            b, flip, ws = signed[0]
+            row[:] = ws * (cos[flip] * cos[b] + sin[flip] * sin[b])
+            if not real_phase:
+                b, flip, ws = signed[1]
+                row += ws * (sin[flip] * cos[b] - cos[flip] * sin[b])
+        return values
     return _in_blocks(shots, block), shots * len(branches)
 
 
@@ -584,7 +584,7 @@ def run_estimator(scheme: str, target: StateVector, rho, *, alpha: float = 0.5,
             sampler = UniformXSampler(target.n, alpha)
         else:
             sampler = ExactSampler(pauli_coefficients(stripped), alpha)
-        branches = len(_branches([phi]))
+        branches = 1 if phi.is_real() else 2
         bound = branches * float(sampler.norm_sum ** 2) if alpha == 0.5 else None
         values = _fofe_values(rho, sampler, [phi], shots, rng)[0][0]
     elif scheme == "nldfe":

@@ -122,6 +122,7 @@ class TestExitCodes:
         ("mps-sample", "--chi", "0"),
         ("norms", "--family", "mps", "--chi", "0"),
         ("haar-scan", "--nmin", "5", "--nmax", "3"),
+        ("haar-scan", "--nmin", "8", "--nmax", "8", "--dirichlet-samples", "0"),
         ("hypergraph-bounds", "--nmin", "5", "--nmax", "4"),
         ("nldfe-compare", "--nmin", "4", "--nmax", "3"),
         ("norms", "--n", "2", "--out", "/nonexistent-fidest-dir/out.csv"),

@@ -514,9 +514,9 @@ class TestOutcomeSamplers:
             diag = estimation._computational_law(rho)
             laws = np.clip(estimation._fofe_laws(rho, ax, az, n, branch, diag), 0, None)
             rows = rng.integers(0, ax.size, 120_000)
-            out = estimation._fofe_outcomes(rho, ax[rows], az[rows], n, branch,
-                                            diag, rng.random((3, rows.size)))
-            assert_frequencies(out, rows, laws)
+            b, sign = estimation._fofe_outcomes(rho, diag)(
+                ax[rows], az[rows], branch, rng.random((3, rows.size)))
+            assert_frequencies(((sign < 0) << n) | b, rows, laws)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
     def test_frame_outcomes_follow_born_law(self, n):
@@ -593,6 +593,53 @@ class TestOutcomeSamplers:
             for r in range(count):
                 assert np.array_equal(samplers.CdfTable(cum[r]).search(v[rows == r]),
                                       want[rows == r])
+
+
+def fofe_targets(case, n, rng):
+    """(rho, sampler, phases) for one engine-law case: a {0, pi} phase
+    state on the uniform-X sampler (real branch only), a Haar target on
+    its stripped coefficients (both branches), and a two-member mixture
+    whose one call estimates a complex and a real phase function."""
+    if case == "phase":
+        table = np.pi * rng.integers(0, 2, 1 << n)
+        target = states.phase_state(states.PhaseFunction.from_table(n, table))
+        sampler = samplers.UniformXSampler(n, 0.5)
+        return states.depolarize(target, 0.2), sampler, [states.phase_strip(target)[1]]
+    target = states.haar_random(n, rng)
+    stripped, phi = states.phase_strip(target)
+    sampler = samplers.ExactSampler(pauli_coefficients(stripped), 0.5)
+    if case == "haar":
+        return states.depolarize(target, 0.2), sampler, [phi]
+    rho = states.Mixture(n, (0.5, 0.3), (target, states.haar_random(n, rng)), 0.2)
+    real = states.PhaseFunction.from_table(n, np.pi * rng.integers(0, 2, 1 << n))
+    return rho, sampler, [phi, real]
+
+
+class TestEngineValueLaw:
+    """The engine's FOFE shot values, drawn through ``fofe_multi_target``,
+    are values of ``fofe_value_law`` and follow its law."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("case", ["phase", "haar", "mixture"])
+    def test_values_follow_the_value_law(self, case, n):
+        rng = np.random.default_rng(70 + n)
+        rho, sampler, phases = fofe_targets(case, n, rng)
+        shots = 120_000
+        res = estimation.fofe_multi_target(rho, sampler, phases, shots, rng)
+        assert res.executions == shots * (1 if case == "phase" else 2)
+        for report, phi in zip(res.reports, phases):
+            values, probs = estimation.fofe_value_law(rho, sampler, phi)
+            order = np.argsort(values)
+            values, probs = values[order], probs[order]
+            # law values within 1e-12 of their neighbour form one class
+            level = np.concatenate([[0], np.cumsum(np.diff(values) > 1e-12)])
+            law = np.clip(np.bincount(level, weights=probs), 0.0, None)
+            got = report.values
+            right = np.clip(np.searchsorted(values, got), 1, values.size - 1)
+            nearest = np.where(got - values[right - 1] <= values[right] - got,
+                               right - 1, right)
+            assert np.max(np.abs(values[nearest] - got)) <= 1e-12
+            assert_frequencies(level[nearest], np.zeros(shots, dtype=int), [law])
 
 
 def sequential_partition(coeffs, frames, tol=1e-12):
