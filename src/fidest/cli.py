@@ -537,6 +537,9 @@ def _validate(args) -> None:
                               f"[2^-n, 1] = [{2.0**-n!r}, 1], got {val}")
     if args.command == "run" and not 0.0 <= args.p <= 1.0:
         raise ConfigError(f"--p must lie in [0, 1], got {args.p}")
+    if args.command == "run" and not 1 <= args.mom_batches <= args.shots:
+        raise ConfigError(f"--mom-batches must lie in 1..--shots = {args.shots}, "
+                          f"got {args.mom_batches}")
     family = getattr(args, "family", None)
     if family == "dicke" and not 0 <= args.k <= n:
         raise ConfigError(f"--k must lie in 0..{n}, got {args.k}")

@@ -12,10 +12,12 @@ All three run on one batched shot engine:
 2. draw every shot's outcome exactly from its label's outcome law, with a
    mixed state's trajectory component marginalised out, at a cost per
    shot that does not grow with the number of distinct labels drawn:
-   - DFE: +-1 with probabilities (1 +- <T_a>)/2, <T_a> read off the
-     target's coefficient table when rho is the target under
-     depolarizing noise, else one Walsh-Hadamard transform per distinct
-     a_x;
+   - DFE: +-1 with probabilities (1 +- <T_a>)/2, from the weight w(a)
+     and P(+1) = (1 + <T_a>)/2 of every support point, formed once a call
+     (<T_a> read off the target's coefficient table when rho is the
+     target under depolarizing noise, else one Walsh-Hadamard transform
+     per support a_x); a shot is one guided search into the support, two
+     gathers and one compare (``_dfe_values``);
    - FOFE: b' from its marginal law, then b1 given b', kept per branch as
      the pair (b', (-1)^b1) (``_fofe_outcomes``);
    - NLDFE: the frame outcome from its group's Born law, formed once, when
@@ -123,7 +125,9 @@ def _born_law_rows(rho, frames, n: int) -> np.ndarray:
 def _pauli_expectations(rho, n: int):
     """<T_a>_rho as a function of word pairs (ax, az).  Each distinct ax
     gets its row of the 2^n x 2^n table from ``pauli_expectation_rows``
-    when first drawn, and the row is kept for later calls."""
+    when first asked for, and the row is kept for later calls.  The
+    laziness serves NLDFE, whose groups are formed as they are first
+    drawn (``_group_outcomes``); DFE asks once, for every support ax."""
     dim = 1 << n
     table = np.empty((dim, dim))
     done = np.zeros(dim, dtype=bool)
@@ -174,12 +178,19 @@ def _dfe_values(sampler, shots: int, rng: np.random.Generator,
                 expectations) -> np.ndarray:
     """Each shot draws a from the l_2a law and measures the two-outcome
     POVM {(I + T_a)/2, (I - T_a)/2}: +w(a) with probability
-    (1 + <T_a>)/2, else -w(a); expectations(ax, az) gives <T_a>."""
+    (1 + <T_a>)/2, else -w(a); expectations(ax, az) gives <T_a>.  w and
+    (1 + <T_a>)/2 are formed once a call over the sampler's support, with
+    one expectations call, so a shot is one guided search (the support
+    position k), two gathers and one compare."""
+    ax, az = sampler.support_words()
+    w = _weights(sampler, ax, az)
+    plus = (1.0 + expectations(ax, az)) / 2.0
+    del ax, az
+
     def block(count: int) -> np.ndarray:
-        ax, az = sampler.draw(rng, count)
+        k = sampler.draw_index(rng, count)
         u = rng.random(count)
-        w = _weights(sampler, ax, az)
-        return np.where(u >= (1.0 + expectations(ax, az)) / 2.0, -w, w)
+        return w[k] * (1.0 - 2.0 * (u >= plus[k]))
     return _in_blocks(shots, block)
 
 

@@ -11,7 +11,8 @@ Every sampler has one protocol:
   distribution()  -- the law as a dense 4^n vector over (ax << n) | az
                      (Dicke: n <= 12, MPS: n <= 6)
 The samplers that know c(a) (Exact, UniformX, Dicke) also give
-coefficients(ax, az), the c(a) of each word pair.
+coefficients(ax, az), the c(a) of each word pair; ExactSampler also gives
+support_words() and draw_index(rng, size), positions into that support.
 """
 
 from __future__ import annotations
@@ -103,7 +104,10 @@ class CdfTable:
 
 
 class ExactSampler:
-    """Cumulative-table sampler over the dense coefficient vector."""
+    """Cumulative-table sampler over the dense coefficient vector.  Its
+    support, the points with |c| > COEFF_TOL, is indexed in flat-index
+    order: ``draw_index`` draws positions, so a caller can form tables
+    once over ``support_words()`` and read them per shot."""
 
     def __init__(self, coeffs: CoeffVector, alpha: float):
         self.n = coeffs.n
@@ -118,8 +122,16 @@ class ExactSampler:
         self._cum = np.cumsum(weights / self.norm_sum)
         self._table = CdfTable(self._cum)
 
+    def support_words(self):
+        """(ax, az) of every support point, in ``draw_index`` order."""
+        return self._support >> self.n, self._support & ((1 << self.n) - 1)
+
+    def draw_index(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Positions in the support of `size` points drawn from the law."""
+        return self._table.search(rng.random(size))
+
     def draw(self, rng: np.random.Generator, size: int):
-        labels = self._support[self._table.search(rng.random(size))]
+        labels = self._support[self.draw_index(rng, size)]
         return labels >> self.n, labels & ((1 << self.n) - 1)
 
     def coefficients(self, ax: np.ndarray, az: np.ndarray) -> np.ndarray:

@@ -193,10 +193,26 @@ class Mixture:
         object.__setattr__(self, "mixed", mixed)
 
     def entries(self, rows, cols) -> np.ndarray:
-        # I/2^n has entries [row = col] / 2^n
-        white = self.mixed * ((np.asarray(rows) == np.asarray(cols)) / (1 << self.n))
-        return sum((w * psi.entries(rows, cols)
-                    for w, psi in zip(self.weights, self.members)), white)
+        # white + member 1 + member 2 + ..., in that order, white being
+        # [row = col] mixed / 2^n.  A float sum is the same either way
+        # round, so the sum runs in place in the members' terms, and white
+        # costs no array: +0.0 everywhere (turning -0.0 into +0.0), then
+        # mixed / 2^n where row = col.
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        white = self.mixed / (1 << self.n)
+        if not self.members:
+            return (rows == cols) * white
+        total = np.asarray(self.weights[0] * self.members[0].entries(rows, cols))
+        total += 0.0
+        total.reshape(-1)[np.flatnonzero(rows == cols)] += white
+        for w, psi in zip(self.weights[1:], self.members[1:]):
+            term = w * psi.entries(rows, cols)
+            if np.iscomplexobj(term) and not np.iscomplexobj(total):
+                term += total
+                total = term
+            else:
+                total += term
+        return total
 
     def born_laws(self, frames) -> np.ndarray:
         codes = frame_codes(frames, self.n)

@@ -2,15 +2,16 @@
 needs: gates applied to amplitude arrays, a density matrix as the
 mixture of its eigenvectors, an MPS amplitude read by direct contraction,
 dense <-> packed F2 matrices, frame codes from Z/X/Y labels, the Pauli
-claims of a QWC partition, the all-complex Pauli expectation kernel, and
-two closed forms the Haar and Dirichlet tests compare against."""
+claims of a QWC partition, the all-complex Pauli expectation kernel, the
+per-shot DFE draw, a mixture's entries as one sum, and two closed forms
+the Haar and Dirichlet tests compare against."""
 
 import math
 
 import numpy as np
 
 from fidest.errors import NumericalHealthError
-from fidest.estimation import QWC_TOL
+from fidest.estimation import QWC_TOL, _in_blocks, _weights
 from fidest.f2 import CHUNK_BYTES, F2Matrix, fwht, pauli_phase, xor_diagonals
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
@@ -103,6 +104,27 @@ def pauli_expectation_rows_complex(state, words) -> np.ndarray:
     if worst > 1e-9:
         raise NumericalHealthError(f"expectation has imaginary part {worst}")
     return out
+
+
+def dfe_values_per_shot(sampler, shots: int, rng, expectations) -> np.ndarray:
+    """alpha-DFE shot values formed shot by shot: each block draws its
+    points as word pairs, then its outcome uniforms, and forms w(a) and
+    <T_a> for every shot.  The oracle that ``estimation._dfe_values``, with
+    its per-call support tables, must equal bit for bit."""
+    def block(count: int) -> np.ndarray:
+        ax, az = sampler.draw(rng, count)
+        u = rng.random(count)
+        w = _weights(sampler, ax, az)
+        return np.where(u >= (1.0 + expectations(ax, az)) / 2.0, -w, w)
+    return _in_blocks(shots, block)
+
+
+def mixture_entries_sum(rho: Mixture, rows, cols) -> np.ndarray:
+    """rho[rows, cols] as one sum, white noise first and then each member
+    in turn: the value ``Mixture.entries`` must equal bit for bit."""
+    white = rho.mixed * ((np.asarray(rows) == np.asarray(cols)) / (1 << rho.n))
+    return sum((w * psi.entries(rows, cols)
+                for w, psi in zip(rho.weights, rho.members)), white)
 
 
 def haar_l1_asymptote(n: int) -> float:

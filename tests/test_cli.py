@@ -111,6 +111,9 @@ class TestExitCodes:
         ("run", "--p", "1.5"),
         ("run", "--p", "-0.2"),
         ("run", "--input-fidelity", "2"),
+        ("run", "--mom-batches", "0"),
+        ("run", "--mom-batches", "-3"),
+        ("run", "--mom-batches", "5", "--shots", "4"),
         ("run", "--family", "dicke", "--n", "6", "--k", "7"),
         ("dicke", "--n", "8", "--k", "5"),
         ("tomography", "--shots-ladder", "10,abc"),

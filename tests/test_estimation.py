@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from fidest import cli, estimation, samplers, states
 from fidest.errors import ConfigError
-from fidest.f2 import fwht, pauli_coefficients
-from reference import label_codes, partition_claims, spectral_mixture
+from fidest.f2 import COEFF_TOL, fwht, pauli_coefficients
+from reference import (dfe_values_per_shot, label_codes, partition_claims,
+                       spectral_mixture)
 
 
 def random_pure_pair(n, rng):
@@ -615,9 +616,25 @@ def fofe_targets(case, n, rng):
     return rho, sampler, [phi, real]
 
 
+def assert_follows_value_law(got, values, probs):
+    """Every shot value lies within 1e-12 of a value of the law, and the
+    value classes (law values within 1e-12 of their neighbour) occur at
+    their law's frequencies (``assert_frequencies``)."""
+    order = np.argsort(values)
+    values, probs = values[order], probs[order]
+    level = np.concatenate([[0], np.cumsum(np.diff(values) > 1e-12)])
+    law = np.clip(np.bincount(level, weights=probs), 0.0, None)
+    right = np.clip(np.searchsorted(values, got), 1, values.size - 1)
+    nearest = np.where(got - values[right - 1] <= values[right] - got,
+                       right - 1, right)
+    assert np.max(np.abs(values[nearest] - got)) <= 1e-12
+    assert_frequencies(level[nearest], np.zeros(got.size, dtype=int), [law])
+
+
 class TestEngineValueLaw:
-    """The engine's FOFE shot values, drawn through ``fofe_multi_target``,
-    are values of ``fofe_value_law`` and follow its law."""
+    """The engine's shot values, drawn through ``fofe_multi_target`` and
+    ``_dfe_values``, are values of the schemes' value laws and follow
+    them."""
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("case", ["phase", "haar", "mixture"])
@@ -628,18 +645,87 @@ class TestEngineValueLaw:
         res = estimation.fofe_multi_target(rho, sampler, phases, shots, rng)
         assert res.executions == shots * (1 if case == "phase" else 2)
         for report, phi in zip(res.reports, phases):
-            values, probs = estimation.fofe_value_law(rho, sampler, phi)
-            order = np.argsort(values)
-            values, probs = values[order], probs[order]
-            # law values within 1e-12 of their neighbour form one class
-            level = np.concatenate([[0], np.cumsum(np.diff(values) > 1e-12)])
-            law = np.clip(np.bincount(level, weights=probs), 0.0, None)
-            got = report.values
-            right = np.clip(np.searchsorted(values, got), 1, values.size - 1)
-            nearest = np.where(got - values[right - 1] <= values[right] - got,
-                               right - 1, right)
-            assert np.max(np.abs(values[nearest] - got)) <= 1e-12
-            assert_frequencies(level[nearest], np.zeros(shots, dtype=int), [law])
+            assert_follows_value_law(report.values, *estimation.fofe_value_law(
+                rho, sampler, phi))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_dfe_values_follow_the_value_law(self, n):
+        # both <T_a> routes (``state_kinds``): the target's table for the
+        # first two forms, rows formed on demand for the ensembles
+        rng = np.random.default_rng(80 + n)
+        target = states.haar_random(n, rng)
+        coeffs = pauli_coefficients(target)
+        sampler = samplers.ExactSampler(coeffs, 0.5)
+        for rho in state_kinds(target, rng):
+            got = estimation._dfe_values(
+                sampler, 120_000, rng, estimation._expectations(rho, target, coeffs))
+            assert_follows_value_law(got, *estimation.dfe_value_law(rho, sampler))
+
+
+class TestDFETables:
+    """``_dfe_values`` forms w(a) and (1 + <T_a>)/2 once a call over the
+    sampler's support, and gives the per-shot draw's values bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    @pytest.mark.parametrize("shots", [1, 3, 2 * estimation.BLOCK_SHOTS + 5])
+    def test_equals_the_per_shot_draw(self, shots, alpha):
+        rng = np.random.default_rng(90)
+        target = states.haar_random(4, rng)
+        coeffs = pauli_coefficients(target)
+        sampler = samplers.ExactSampler(coeffs, alpha)
+        for rho in state_kinds(target, rng):
+            rngs = np.random.default_rng(91), np.random.default_rng(91)
+            got = estimation._dfe_values(
+                sampler, shots, rngs[0], estimation._expectations(rho, target, coeffs))
+            want = dfe_values_per_shot(
+                sampler, shots, rngs[1], estimation._expectations(rho, target, coeffs))
+            assert np.array_equal(got, want)
+            # the same draws in the same order: the streams end level
+            assert rngs[0].random() == rngs[1].random()
+
+    def test_expectations_asked_once_over_the_support(self):
+        n = 5
+        rng = np.random.default_rng(92)
+        target = states.haar_random(n, rng)
+        coeffs = pauli_coefficients(target)
+        support = np.flatnonzero(np.abs(coeffs.values) > COEFF_TOL)
+        sampler = samplers.ExactSampler(coeffs, 0.5)
+        for rho in state_kinds(target, rng):
+            for shots in (1, 3, 2 * estimation.BLOCK_SHOTS + 5):
+                inner = estimation._expectations(rho, target, coeffs)
+                requests = []
+
+                def spy(ax, az):
+                    requests.append((ax.copy(), az.copy()))
+                    return inner(ax, az)
+
+                estimation._dfe_values(sampler, shots,
+                                       np.random.default_rng(shots), spy)
+                assert len(requests) == 1
+                ax, az = requests[0]
+                assert np.array_equal((ax << n) | az, support)
+
+    def test_zero_probability_outcome_never_drawn(self):
+        # rho = |1> and T_a = Z: <Z> = -1, so the shot is -w(Z) for every
+        # uniform, u = 0.0 included; u = 1 - 2^-53 draws Z, the last point
+        # of the support {I, Z} of |0>
+        zero, one = (states.StateVector(1, np.eye(2, dtype=complex)[b])
+                     for b in (0, 1))
+        coeffs = pauli_coefficients(zero)
+        sampler = samplers.ExactSampler(coeffs, 0.5)
+
+        class Scripted:
+            """random(size) gives the next scripted value, `size` times."""
+            def __init__(self, *values):
+                self.values = list(values)
+
+            def random(self, size):
+                return np.full(size, self.values.pop(0))
+
+        rng = Scripted(np.nextafter(1.0, 0.0), 0.0)
+        got = estimation._dfe_values(sampler, 4, rng,
+                                     estimation._expectations(one, zero, coeffs))
+        assert np.array_equal(got, np.full(4, -1.0))
 
 
 def sequential_partition(coeffs, frames, tol=1e-12):

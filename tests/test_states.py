@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from fidest import estimation, f2, samplers, states, tomography
 from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
-from reference import apply_phase, label_codes, mps_amplitude, spectral_mixture
+from reference import (apply_phase, label_codes, mixture_entries_sum,
+                       mps_amplitude, spectral_mixture)
 
 
 class TestStateVector:
@@ -247,6 +248,30 @@ class TestMixture:
         assert white.fidelity(psi) == 1 / 4
         weights, amps, mixed = white.pure_ensemble()
         assert weights.size == 0 and amps.shape == (0, 4) and mixed == 1.0
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_entries_are_the_sum_bit_for_bit(self, n):
+        # white noise, then each member in turn, the sign of zero included:
+        # real members with zero amplitudes give -0.0 products
+        rng = np.random.default_rng(22 + n)
+        v = np.where(rng.random(1 << n) < 0.4, 0.0, rng.normal(size=1 << n))
+        v[0] = -1.0
+        real = states.StateVector(n, (v / np.linalg.norm(v)).astype(complex))
+        haar = states.haar_random(n, rng)
+        one = states.StateVector(n, np.eye(1 << n, dtype=complex)[-1])
+        x = np.arange(1 << n)
+        rows = rng.integers(0, 1 << n, 200)
+        for rho in (states.depolarize(real, 0.3), states.depolarize(haar, 0.0),
+                    states.Mixture(n, (0.5, 0.2), (haar, real), 0.3),
+                    states.Mixture(n, (0.6, 0.4), (real, haar)),
+                    states.Mixture(n, (0.7, 0.3), (real, one)),
+                    states.Mixture(n, (), (), 1.0)):
+            for args in ((x[:, None], x[None, :]), (rows, rows ^ 1),
+                         (rows, rng.permutation(rows)), (0, 0), (0, 1)):
+                want = np.asarray(mixture_entries_sum(rho, *args))
+                got = np.asarray(rho.entries(*args))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestMPS:
