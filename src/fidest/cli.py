@@ -2,6 +2,10 @@
 configurations and scaling scans, with deterministic seeding and
 CSV/JSON output.
 
+Every option is declared once, as an `Option` in `_COMMANDS` (a
+subcommand's own) or `_COMMON` (shared).  The parser, the defaults,
+config-file typing and the range and cap checks are loops over them.
+
 Exit codes: 0 success, 2 configuration error, 3 size cap exceeded,
 4 numerical-health failure.
 """
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, estimation, magic, samplers, states, tomography
+from . import __version__, estimation, f2, magic, samplers, states, tomography
 from .errors import CapExceededError, ConfigError, NumericalHealthError
 from .f2 import pauli_coefficients, popcount_array
 
@@ -50,6 +54,9 @@ class ResultTable:
 
 
 def _emit(table: ResultTable, args) -> None:
+    table.metadata.setdefault("config", " ".join(
+        f"{opt.dest}={getattr(args, opt.dest)}"
+        for opt in _COMMANDS[args.command].options if opt.echo))
     table.metadata.setdefault("version", __version__)
     table.metadata.setdefault("seed", args.seed)
     table.metadata.setdefault("workers", args.workers)
@@ -67,10 +74,6 @@ def _emit(table: ResultTable, args) -> None:
         sys.stdout.write(text)
 
 
-def _config_echo(args, keys) -> str:
-    return " ".join(f"{k}={getattr(args, k)}" for k in keys)
-
-
 # ---------------------------------------------------------------------------
 # Experiment runners
 
@@ -84,8 +87,7 @@ def cmd_fig2a(args) -> ResultTable:
     table = ResultTable(
         columns=["scheme", "shots", "mean", "variance", "stderr",
                  "exact_fidelity", "analytic_bound", "shot_min", "shot_max"],
-        metadata={"config": _config_echo(args, ("n", "fidelity", "shots")),
-                  "depolarizing_p": repr(p)})
+        metadata={"depolarizing_p": repr(p)})
     for scheme in ("dfe", "fofe"):
         rep = estimation.run_estimator(
             scheme, target, rho, alpha=0.5, shots=args.shots, seed=args.seed)
@@ -104,13 +106,9 @@ def _mean_stderr(values) -> tuple:
 
 
 def cmd_haar_scan(args) -> ResultTable:
-    if args.nmax > 16:
-        raise CapExceededError("haar-scan capped at n <= 16")
     table = ResultTable(
         columns=["n", "l1_mean", "l1_stderr", "l1_closed_form",
-                 "stripped_mean", "stripped_stderr", "ratio", "method"],
-        metadata={"config": _config_echo(
-            args, ("nmin", "nmax", "samples", "dirichlet_samples"))})
+                 "stripped_mean", "stripped_stderr", "ratio", "method"])
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     for n in range(args.nmin, args.nmax + 1):
         closed = magic.haar_l1_mean_closed_form(n)
@@ -143,9 +141,7 @@ def cmd_haar_scan(args) -> ResultTable:
 def cmd_nldfe_compare(args) -> ResultTable:
     table = ResultTable(
         columns=["n", "mean_l1", "mean_w", "improvement", "nldfe_variance",
-                 "dfe_variance"],
-        metadata={"config": _config_echo(
-            args, ("nmin", "nmax", "samples", "shots"))})
+                 "dfe_variance"])
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     for n in range(args.nmin, args.nmax + 1):
         l1s, ws = [], []
@@ -174,9 +170,7 @@ def cmd_nldfe_compare(args) -> ResultTable:
 def cmd_hypergraph_bounds(args) -> ResultTable:
     table = ResultTable(
         columns=["n", "sampled_lower", "sampled_upper", "closed_lower",
-                 "closed_upper", "empirical_second_moment"],
-        metadata={"config": _config_echo(
-            args, ("nmin", "nmax", "samples", "shots"))})
+                 "closed_upper", "empirical_second_moment"])
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     for n in range(args.nmin, args.nmax + 1):
         sampled = magic.random3_sampled_bounds(n, args.samples, rng)
@@ -229,9 +223,7 @@ def cmd_run(args) -> ResultTable:
         seed=args.seed, mom_batches=args.mom_batches)
     table = ResultTable(
         columns=["scheme", "n", "shots", "mean", "mom_estimate", "variance",
-                 "stderr", "exact_fidelity", "analytic_bound"],
-        metadata={"config": _config_echo(
-            args, ("scheme", "family", "n", "shots", "alpha", "mom_batches"))})
+                 "stderr", "exact_fidelity", "analytic_bound"])
     table.add(rep.scheme, args.n, rep.shots, repr(rep.mean),
               repr(rep.mom_estimate), repr(rep.variance), repr(rep.stderr),
               repr(rep.exact_fidelity), repr(rep.analytic_bound))
@@ -244,9 +236,7 @@ def cmd_tomography(args) -> ResultTable:
     w = rng.random(3)
     w /= w.sum()
     rho = states.density_matrix(states.Mixture(args.n, tuple(w), tuple(comps)))
-    table = ResultTable(
-        columns=["n", "shots_per_basis", "l2_error"],
-        metadata={"config": _config_echo(args, ("n", "shots_ladder"))})
+    table = ResultTable(columns=["n", "shots_per_basis", "l2_error"])
     for shots in _shots_ladder(args.shots_ladder):
         _, err = tomography.tomography_pipeline(rho, args.n, shots,
                                                 seed=args.seed)
@@ -259,14 +249,11 @@ def cmd_mps_sample(args) -> ResultTable:
     mps = states.random_real_mps(args.n, args.chi, rng)
     sampler = samplers.MPSL2Sampler(mps)
     table = ResultTable(
-        columns=["n", "chi", "samples", "mean_weight", "tv_distance"],
-        metadata={"config": _config_echo(args, ("n", "chi", "samples"))})
+        columns=["n", "chi", "samples", "mean_weight", "tv_distance"])
     ax, az = sampler.draw(rng, args.samples)
     weights = popcount_array((ax | az).astype(np.uint64))
     tv = ""
     if args.verify:
-        if args.n > 6:
-            raise CapExceededError("--verify enumeration capped at n <= 6")
         sv = states.mps_to_statevector(mps)
         exact = samplers.ExactSampler(pauli_coefficients(sv), 1.0)
         tv = repr(float(0.5 * np.abs(sampler.distribution()
@@ -282,12 +269,9 @@ def cmd_dicke(args) -> ResultTable:
     ax, _ = sampler.draw(rng, args.samples)
     table = ResultTable(
         columns=["n", "k", "samples", "l1_norm", "mean_ax_weight",
-                 "tv_distance"],
-        metadata={"config": _config_echo(args, ("n", "k", "samples"))})
+                 "tv_distance"])
     tv = ""
     if args.verify:
-        if args.n > 6:
-            raise CapExceededError("--verify enumeration capped at n <= 6")
         exact = samplers.ExactSampler(
             pauli_coefficients(states.dicke_state(args.n, args.k)), 0.5)
         tv = repr(float(0.5 * np.abs(sampler.distribution()
@@ -304,26 +288,136 @@ def cmd_norms(args) -> ResultTable:
     rep = magic.norms(psi)
     table = ResultTable(
         columns=["family", "n", "l0", "l1", "l2", "sre_half", "sre_two",
-                 "dfe_bound_half"],
-        metadata={"config": _config_echo(args, ("family", "n"))})
+                 "dfe_bound_half"])
     table.add(args.family, args.n, repr(rep.l0), repr(rep.l1), repr(rep.l2),
               repr(rep.sre[0.5]), repr(rep.sre[2.0]), repr(rep.l1**2))
     return table
 
 
 # ---------------------------------------------------------------------------
-# Argument handling
+# The option table
+
+#: the largest count a numpy draw takes (counts are int64)
+_COUNT_MAX = 2**63 - 1
+
+
+@dataclass(frozen=True)
+class Option:
+    """One flag: its value type (`bool` for a switch), built-in default,
+    range lo..hi (exit 2 outside it), qubit cap (exit 3 above it),
+    choices, help text, and whether the output's `config` line echoes
+    it (a subcommand's own options only)."""
+
+    flag: str
+    type: type
+    default: object = None
+    lo: object = None
+    hi: object = None
+    cap: int | None = None
+    choices: tuple | None = None
+    help: str | None = None
+    echo: bool = True
+
+    @property
+    def dest(self) -> str:
+        return self.flag.replace("-", "_")
+
+    def config_value(self, val):
+        """A config file value read as the flag's own text would be: through
+        the type and choices (a switch takes true or false)."""
+        if self.type is bool:
+            ok = isinstance(val, bool)
+        else:
+            try:
+                val = self.type(str(val))
+                ok = self.choices is None or val in self.choices
+            except ValueError:
+                ok = False
+        if not ok:
+            raise ConfigError(f"config value {val!r} is not valid for --{self.flag}")
+        return val
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner, its help line and its own options."""
+
+    run: object
+    help: str
+    options: tuple
+
+
+def _count(flag, default) -> Option:
+    return Option(flag, int, default, lo=1, hi=_COUNT_MAX)
+
+
+def _qubits(default, cap) -> Option:
+    return Option("n", int, default, lo=1, cap=cap)
+
+
+_FAMILIES = ("phase-random", "hypergraph-random", "hypergraph-complete3",
+             "dicke", "haar", "mps")
+#: the options `_build_target` reads besides --family
+_TARGET = (_qubits(4, f2.COEFF_CAP), Option("k", int, 1, echo=False),
+           Option("chi", int, 2, echo=False))
+
+#: the options every subcommand takes, after its own
+_COMMON = (
+    Option("seed", int, 0, lo=0),
+    Option("workers", int, 1, lo=1, hi=_COUNT_MAX,
+           help="accepted for compatibility; results do not depend on it"),
+    Option("out", str),
+    Option("format", str, "csv", choices=("csv", "json")),
+    Option("deterministic", bool, False),
+    Option("config", str),
+)
 
 _COMMANDS = {
-    "fig2a": cmd_fig2a,
-    "haar-scan": cmd_haar_scan,
-    "nldfe-compare": cmd_nldfe_compare,
-    "hypergraph-bounds": cmd_hypergraph_bounds,
-    "run": cmd_run,
-    "tomography": cmd_tomography,
-    "mps-sample": cmd_mps_sample,
-    "dicke": cmd_dicke,
-    "norms": cmd_norms,
+    "fig2a": Command(
+        cmd_fig2a, "DFE vs FOFE on the complete 3-hypergraph target under "
+                   "depolarizing noise",
+        (_qubits(7, f2.COEFF_CAP), Option("fidelity", float, 0.8955),
+         _count("shots", 5000))),
+    "haar-scan": Command(
+        cmd_haar_scan, "Haar-average l1 and stripped-l1 scan",
+        # the Dirichlet Monte Carlo costs O(samples 2^n)
+        (Option("nmin", int, 2, lo=1), Option("nmax", int, 8, cap=16),
+         _count("samples", 100), _count("dirichlet-samples", 10000))),
+    "nldfe-compare": Command(
+        cmd_nldfe_compare, "QWC-partition weight vs l1 norm",
+        (Option("nmin", int, 3, lo=1),
+         Option("nmax", int, 6, cap=estimation.QWC_QUBIT_CAP),
+         _count("samples", 100), _count("shots", 2000),
+         Option("ordering", str, "canonical",
+                choices=("canonical", "greedy-weight"), echo=False))),
+    "hypergraph-bounds": Command(
+        cmd_hypergraph_bounds, "rank-distribution variance bounds",
+        (Option("nmin", int, 4, lo=1),
+         Option("nmax", int, 7, cap=magic.SAMPLED_RANK_QUBIT_CAP),
+         _count("samples", 2000), _count("shots", 20000))),
+    "run": Command(
+        cmd_run, "generic estimator run",
+        (Option("scheme", str, "fofe", choices=("dfe", "fofe", "nldfe")),
+         Option("family", str, "hypergraph-complete3", choices=_FAMILIES),
+         *_TARGET, _count("shots", 1000), Option("alpha", float, 0.5),
+         Option("p", float, 0.0, lo=0, hi=1, echo=False),
+         Option("input-fidelity", float, echo=False),
+         Option("mom-batches", int, 1))),
+    "tomography": Command(
+        cmd_tomography, "MUB tomography shot ladder",
+        (_qubits(2, tomography.MUB_QUBIT_CAP),
+         Option("shots-ladder", str, "1000,4000,16000"))),
+    "mps-sample": Command(
+        cmd_mps_sample, "MPS l2 sampling",
+        (_qubits(6, states.MPS_QUBIT_CAP), Option("chi", int, 4),
+         _count("samples", 200), Option("verify", bool, False, echo=False))),
+    "dicke": Command(
+        cmd_dicke, "Dicke-state l1 sampling",
+        (_qubits(8, samplers.DICKE_QUBIT_CAP), Option("k", int, 3),
+         _count("samples", 1000), Option("verify", bool, False, echo=False))),
+    "norms": Command(
+        cmd_norms, "magic norms of one state",
+        (Option("family", str, "haar", choices=_FAMILIES), *_TARGET)),
 }
 
 
@@ -335,138 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "magic-norm scans, and MUB tomography.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None,
-                       help="accepted for compatibility; results do not "
-                            "depend on it")
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--deterministic", action="store_true", default=None)
-        p.add_argument("--config", type=str, default=None)
-
-    p = sub.add_parser("fig2a", help="DFE vs FOFE on the complete "
-                                     "3-hypergraph target under depolarizing noise")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--fidelity", type=float, default=None)
-    p.add_argument("--shots", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("haar-scan", help="Haar-average l1 and stripped-l1 scan")
-    p.add_argument("--nmin", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--dirichlet-samples", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("nldfe-compare", help="QWC-partition weight vs l1 norm")
-    p.add_argument("--nmin", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--ordering", choices=("canonical", "greedy-weight"),
-                   default=None)
-    common(p)
-
-    p = sub.add_parser("hypergraph-bounds",
-                       help="rank-distribution variance bounds")
-    p.add_argument("--nmin", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--shots", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("run", help="generic estimator run")
-    p.add_argument("--scheme", choices=("dfe", "fofe", "nldfe"), default=None)
-    p.add_argument("--family", default=None,
-                   choices=("phase-random", "hypergraph-random",
-                            "hypergraph-complete3", "dicke", "haar", "mps"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--chi", type=int, default=None)
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--p", type=float, default=None)
-    p.add_argument("--input-fidelity", type=float, default=None)
-    p.add_argument("--mom-batches", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("tomography", help="MUB tomography shot ladder")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--shots-ladder", type=str, default=None)
-    common(p)
-
-    p = sub.add_parser("mps-sample", help="MPS l2 sampling")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--chi", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--verify", action="store_true", default=None)
-    common(p)
-
-    p = sub.add_parser("dicke", help="Dicke-state l1 sampling")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--verify", action="store_true", default=None)
-    common(p)
-
-    p = sub.add_parser("norms", help="magic norms of one state")
-    p.add_argument("--family", default=None,
-                   choices=("phase-random", "hypergraph-random",
-                            "hypergraph-complete3", "dicke", "haar", "mps"))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--chi", type=int, default=None)
-    common(p)
-
+    # every default is None here, so that a set flag can be told from an
+    # unset one; _fill puts in the config file's values and the defaults
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in (*command.options, *_COMMON):
+            if opt.type is bool:
+                p.add_argument(f"--{opt.flag}", action="store_true",
+                               default=None, help=opt.help)
+            else:
+                p.add_argument(f"--{opt.flag}", type=opt.type,
+                               choices=opt.choices, default=None, help=opt.help)
     return parser
 
 
-_DEFAULTS = {
-    "seed": 0, "workers": 1, "out": None, "format": "csv",
-    "deterministic": False, "config": None,
-    "fig2a": {"n": 7, "fidelity": 0.8955, "shots": 5000},
-    "haar-scan": {"nmin": 2, "nmax": 8, "samples": 100,
-                  "dirichlet_samples": 10000},
-    "nldfe-compare": {"nmin": 3, "nmax": 6, "samples": 100, "shots": 2000,
-                      "ordering": "canonical"},
-    "hypergraph-bounds": {"nmin": 4, "nmax": 7, "samples": 2000,
-                          "shots": 20000},
-    "run": {"scheme": "fofe", "family": "hypergraph-complete3", "n": 4,
-            "k": 1, "chi": 2, "shots": 1000, "alpha": 0.5, "p": 0.0,
-            "input_fidelity": None, "mom_batches": 1},
-    "tomography": {"n": 2, "shots_ladder": "1000,4000,16000"},
-    "mps-sample": {"n": 6, "chi": 4, "samples": 200, "verify": False},
-    "dicke": {"n": 8, "k": 3, "samples": 1000, "verify": False},
-    "norms": {"family": "haar", "n": 4, "k": 1, "chi": 2},
-}
-
-
-def _command_options(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The argparse action of each option of one subcommand, by dest."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions}
-
-
-def _config_value(action: argparse.Action, name: str, val):
-    """A config file value read as the flag's own text would be: through
-    the option's type and choices (a switch takes true or false)."""
-    if action.nargs == 0:
-        ok = isinstance(val, bool)
-    else:
-        try:
-            val = (action.type or str)(str(val))
-            ok = action.choices is None or val in action.choices
-        except ValueError:
-            ok = False
-    if not ok:
-        raise ConfigError(f"config value {val!r} is not valid for --{name}")
-    return val
-
-
-def _apply_config(args: argparse.Namespace, options: dict) -> argparse.Namespace:
+def _fill(args: argparse.Namespace, options) -> None:
     """Fill unset options: CLI flags > config file > built-in defaults.
     A null in the file leaves the option to the default."""
     file_cfg = {}
@@ -478,24 +455,12 @@ def _apply_config(args: argparse.Namespace, options: dict) -> argparse.Namespace
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    defaults = dict(_DEFAULTS)
-    defaults.update(defaults.pop(args.command, {}))
-    for key, val in vars(args).items():
-        if val is not None or key in ("command", "config"):
+    for opt in options:
+        if getattr(args, opt.dest) is not None or opt.flag == "config":
             continue
-        name = key.replace("_", "-")
-        val = file_cfg.get(name, file_cfg.get(key))
-        if val is not None:
-            setattr(args, key, _config_value(options[key], name, val))
-        elif key in defaults:
-            setattr(args, key, defaults[key])
-    if args.deterministic is None:
-        args.deterministic = False
-    return args
-
-
-#: the largest count a numpy draw takes (counts are int64)
-_COUNT_MAX = 2**63 - 1
+        val = file_cfg.get(opt.flag, file_cfg.get(opt.dest))
+        setattr(args, opt.dest,
+                opt.default if val is None else opt.config_value(val))
 
 
 def _shots_ladder(text) -> list:
@@ -511,83 +476,69 @@ def _shots_ladder(text) -> list:
     return ladder
 
 
-def _validate(args) -> None:
-    for key in ("shots", "samples", "dirichlet_samples", "workers", "nmin"):
-        val = getattr(args, key, None)
-        if val is not None and val < 1:
-            raise ConfigError(f"--{key.replace('_', '-')} must be >= 1, got {val}")
-    for key in ("shots", "samples", "dirichlet_samples", "workers"):
-        val = getattr(args, key, None)
-        if val is not None and val > _COUNT_MAX:
-            raise ConfigError(f"--{key.replace('_', '-')} must be <= {_COUNT_MAX}, "
-                              f"got {val}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+def _validate(args, options) -> None:
+    """Every exit-2 check (the table's ranges, then the rules that join
+    options), then every exit-3 size cap, before any work starts."""
+    for opt in options:
+        val = getattr(args, opt.dest)
+        if opt.lo is not None and not val >= opt.lo:
+            raise ConfigError(f"--{opt.flag} must be >= {opt.lo}, got {val}")
+        if opt.hi is not None and not val <= opt.hi:
+            raise ConfigError(f"--{opt.flag} must be <= {opt.hi}, got {val}")
     nmin = getattr(args, "nmin", None)
     if nmin is not None and args.nmax < nmin:
         raise ConfigError(f"--nmax must be >= --nmin = {nmin}, got {args.nmax}")
     n = getattr(args, "n", None)
-    if n is not None and n < 1:
-        raise ConfigError(f"--n must be >= 1, got {n}")
     # Fidelities reachable by depolarizing an n-qubit pure target: [2^-n, 1].
     for key in ("fidelity", "input_fidelity"):
         val = getattr(args, key, None)
-        if val is not None and not 2.0**-n <= val <= 1.0:
-            raise ConfigError(f"--{key.replace('_', '-')} must lie in "
-                              f"[2^-n, 1] = [{2.0**-n!r}, 1], got {val}")
-    if args.command == "run" and not 0.0 <= args.p <= 1.0:
-        raise ConfigError(f"--p must lie in [0, 1], got {args.p}")
+        if val is not None and not math.ldexp(1.0, -n) <= val <= 1.0:
+            raise ConfigError(f"--{key.replace('_', '-')} must lie in [2^-n, 1] "
+                              f"= [{math.ldexp(1.0, -n)!r}, 1], got {val}")
     if args.command == "run" and not 1 <= args.mom_batches <= args.shots:
         raise ConfigError(f"--mom-batches must lie in 1..--shots = {args.shots}, "
                           f"got {args.mom_batches}")
+    if args.command == "run" and args.alpha not in (0.5, 1.0):
+        raise ConfigError(f"--alpha must be 1/2 or 1, got {args.alpha}")
     family = getattr(args, "family", None)
     if family == "dicke" and not 0 <= args.k <= n:
         raise ConfigError(f"--k must lie in 0..{n}, got {args.k}")
     if args.command == "dicke" and not 0 <= args.k <= n // 2:
         raise ConfigError(f"the Dicke sampler needs 0 <= --k <= n/2 = {n // 2}, "
                           f"got {args.k}")
-    if args.command == "dicke" and n > samplers.DICKE_QUBIT_CAP:
-        raise CapExceededError(
-            f"dicke capped at n <= {samplers.DICKE_QUBIT_CAP} (int64 words)")
-    if family == "mps" or args.command == "mps-sample":
-        if args.chi < 1:
-            raise ConfigError(f"--chi must be >= 1, got {args.chi}")
-        if args.chi > states.MPS_BOND_CAP:
-            raise CapExceededError(
-                f"MPS bond dimension capped at chi <= {states.MPS_BOND_CAP}")
     if args.command == "tomography":
         _shots_ladder(args.shots_ladder)
-        if args.n > tomography.MUB_QUBIT_CAP:
-            raise CapExceededError(
-                f"tomography capped at n <= {tomography.MUB_QUBIT_CAP}")
-    if args.command == "mps-sample" and args.n > states.MPS_QUBIT_CAP:
-        raise CapExceededError(f"mps-sample capped at n <= {states.MPS_QUBIT_CAP}")
-    if args.command in ("run", "norms") and args.n > 10:
-        raise CapExceededError("dense coefficient work capped at n <= 10")
-    if args.command == "fig2a" and args.n > 10:
-        raise CapExceededError("fig2a capped at n <= 10")
-    if (args.command == "nldfe-compare"
-            and args.nmax > estimation.QWC_QUBIT_CAP):
+    mps = family == "mps" or args.command == "mps-sample"
+    if mps and args.chi < 1:
+        raise ConfigError(f"--chi must be >= 1, got {args.chi}")
+    if mps and args.chi > states.MPS_BOND_CAP:
         raise CapExceededError(
-            f"nldfe-compare capped at n <= {estimation.QWC_QUBIT_CAP}")
+            f"MPS bond dimension capped at chi <= {states.MPS_BOND_CAP}")
+    for opt in options:
+        if opt.cap is not None and getattr(args, opt.dest) > opt.cap:
+            raise CapExceededError(f"{args.command} capped at n <= {opt.cap}")
+    if getattr(args, "verify", False) and args.n > 6:
+        raise CapExceededError("--verify enumeration capped at n <= 6")
     if (args.command == "run" and args.scheme == "nldfe"
             and args.n > estimation.QWC_QUBIT_CAP):
         raise CapExceededError("QWC partition needs 3^n 2^n work; capped at "
                                f"n <= {estimation.QWC_QUBIT_CAP}")
-    if (args.command == "hypergraph-bounds"
-            and args.nmax > magic.SAMPLED_RANK_QUBIT_CAP):
-        raise CapExceededError("hypergraph-bounds capped at n <= "
-                               f"{magic.SAMPLED_RANK_QUBIT_CAP}")
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The checked arguments of one call: flags, then the config file,
+    then the built-in defaults."""
+    args = build_parser().parse_args(argv)
+    options = (*_COMMANDS[args.command].options, *_COMMON)
+    _fill(args, options)
+    _validate(args, options)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args, _command_options(parser, args.command))
-        _validate(args)
-        table = _COMMANDS[args.command](args)
-        _emit(table, args)
+        args = _parse(argv)
+        _emit(_COMMANDS[args.command].run(args), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

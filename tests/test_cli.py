@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -98,6 +100,40 @@ class TestExitCodes:
         assert f"chi <= {states.MPS_BOND_CAP}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["2", "nan"])
+    def test_alpha_checked_before_build(self, capsys, monkeypatch, alpha):
+        # a bad --alpha exits 2 before any target is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("target built for a bad --alpha")
+        monkeypatch.setattr(cli, "_build_target", refuse)
+        code, _, err = run_cli(capsys, "run", "--alpha", alpha, "--deterministic")
+        assert code == 2
+        assert "--alpha" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("mps-sample", "--n", "7"),
+        ("dicke", "--n", "7", "--k", "1"),
+    ], ids=" ".join)
+    def test_verify_cap_before_draw(self, capsys, monkeypatch, argv):
+        # the enumeration cap refuses --verify before any sampler is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampler built above the --verify cap")
+        monkeypatch.setattr(samplers, "MPSL2Sampler", refuse)
+        monkeypatch.setattr(samplers, "DickeSampler", refuse)
+        code, _, err = run_cli(capsys, *argv, "--verify", "--deterministic")
+        assert code == 3
+        assert "--verify enumeration capped at n <= 6" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("fig2a",),
+        ("run", "--input-fidelity", "0.9"),
+    ], ids=" ".join)
+    def test_huge_n_with_fidelity(self, capsys, argv):
+        # the fidelity floor 2^-n of a 400-digit n is 0.0, not an overflow
+        code, _, err = run_cli(capsys, *argv, "--n", "9" * 400, "--deterministic")
+        assert code == 3
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command",
                              ["hypergraph-bounds", "haar-scan", "nldfe-compare"])
     def test_nmin_below_one(self, capsys, command):
@@ -129,6 +165,8 @@ class TestExitCodes:
         ("hypergraph-bounds", "--nmin", "5", "--nmax", "4"),
         ("nldfe-compare", "--nmin", "4", "--nmax", "3"),
         ("norms", "--n", "2", "--out", "/nonexistent-fidest-dir/out.csv"),
+        ("run", "--alpha", "2"),
+        ("run", "--alpha", "nan"),
     ], ids=" ".join)
     def test_bad_input(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--deterministic")
@@ -223,6 +261,98 @@ class TestConfigPrecedence:
             code, _, err = run_cli(capsys, "norms", "--config", str(cfg))
             assert code == 2
             assert "Traceback" not in err
+
+
+def _readme_commands():
+    """The argv of each `fidest` line in README's CLI code block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("fidest ")]
+
+
+class TestOptionTable:
+    """Each option's default, config typing and README usage, read
+    through the one table that declares it."""
+
+    COMMON = {"seed": 0, "workers": 1, "out": None, "format": "csv",
+              "deterministic": False, "config": None}
+    DEFAULTS = {
+        "fig2a": {"n": 7, "fidelity": 0.8955, "shots": 5000},
+        "haar-scan": {"nmin": 2, "nmax": 8, "samples": 100,
+                      "dirichlet_samples": 10000},
+        "nldfe-compare": {"nmin": 3, "nmax": 6, "samples": 100, "shots": 2000,
+                          "ordering": "canonical"},
+        "hypergraph-bounds": {"nmin": 4, "nmax": 7, "samples": 2000,
+                              "shots": 20000},
+        "run": {"scheme": "fofe", "family": "hypergraph-complete3", "n": 4,
+                "k": 1, "chi": 2, "shots": 1000, "alpha": 0.5, "p": 0.0,
+                "input_fidelity": None, "mom_batches": 1},
+        "tomography": {"n": 2, "shots_ladder": "1000,4000,16000"},
+        "mps-sample": {"n": 6, "chi": 4, "samples": 200, "verify": False},
+        "dicke": {"n": 8, "k": 3, "samples": 1000, "verify": False},
+        "norms": {"family": "haar", "n": 4, "k": 1, "chi": 2},
+    }
+    # a value other than the default, for the options that are not an
+    # int, a switch or a choice
+    OTHER = {"fidelity": 0.9, "p": 0.5, "input_fidelity": 0.9, "alpha": 1.0,
+             "shots_ladder": "10,20", "out": "result.csv"}
+
+    @pytest.mark.parametrize("command", sorted(DEFAULTS))
+    def test_resolved_defaults(self, command):
+        resolved = vars(cli._parse([command]))
+        expected = {"command": command, **self.COMMON, **self.DEFAULTS[command]}
+        assert resolved == expected
+        assert ({k: type(v) for k, v in resolved.items()}
+                == {k: type(v) for k, v in expected.items()})
+
+    @pytest.mark.parametrize("command,option", [
+        (name, opt) for name, cmd in cli._COMMANDS.items()
+        for opt in (*cmd.options, *cli._COMMON)
+        # the config file's own "config" key is ignored
+        if opt.flag != "config"
+    ], ids=lambda x: x if isinstance(x, str) else f"--{x.flag}")
+    def test_config_value_is_read_as_the_flag(self, capsys, tmp_path,
+                                              command, option):
+        if option.type is bool:
+            value, flag = True, [f"--{option.flag}"]
+        else:
+            if option.choices:
+                value = next(c for c in option.choices if c != option.default)
+            elif option.type is int:
+                value = option.default + 1
+            else:
+                value = self.OTHER[option.dest]
+            flag = [f"--{option.flag}", str(value)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option.flag: value}))
+        options = (*cli._COMMANDS[command].options, *cli._COMMON)
+
+        def resolve(*argv):  # parsed and filled, not checked
+            args = cli.build_parser().parse_args([command, *argv])
+            cli._fill(args, options)
+            return vars(args)
+
+        from_file, from_flag = resolve("--config", str(cfg)), resolve(*flag)
+        assert (from_file.pop("config"), from_flag.pop("config")) == (str(cfg), None)
+        assert from_file == from_flag
+        assert from_flag[option.dest] == value != option.default
+        # a wrong-typed value exits 2 and names the option; a plain string
+        # option reads any JSON value as its text
+        if option.type is not str or option.choices:
+            cfg.write_text(json.dumps({option.flag: [1]}))
+            code, _, err = run_cli(capsys, command, "--config", str(cfg))
+            assert code == 2
+            assert f"--{option.flag}" in err
+
+    def test_readme_shows_every_subcommand(self):
+        assert {argv[0] for argv in _readme_commands()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_readme_command_is_valid(self, argv):
+        # parsed, filled and checked, not run
+        cli._parse(argv)
 
 
 class TestOutputFile:
