@@ -2,7 +2,7 @@
 
 Modules:
   f2          -- Paulis as word pairs (ax, az) and their symplectic
-                 product, the Pauli-expectation kernel, FWHT, F2 rank
+                 product, the Pauli-expectation kernel, FWHT, batched F2 rank
   states      -- the two state types (pure StateVector; Mixture of pure
                  members plus white noise), state construction, phase
                  stripping, depolarizing noise, Born laws
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 from .errors import (CapExceededError, ConfigError, DimensionError,
                      NumericalHealthError)
-from .f2 import (CoeffVector, F2Matrix, f2_rank, fwht, pauli_coefficients,
+from .f2 import (CoeffVector, f2_rank, fwht, pauli_coefficients,
                  pauli_expectation_rows, symplectic_product)
 from .states import (Mixture, PhaseFunction, RealMPS, StateVector,
                      density_matrix, depolarize, dicke_state, exact_fidelity,
@@ -34,7 +34,7 @@ __all__ = [
     "__version__",
     "CapExceededError", "ConfigError", "DimensionError",
     "NumericalHealthError",
-    "CoeffVector", "F2Matrix", "f2_rank", "fwht", "pauli_coefficients",
+    "CoeffVector", "f2_rank", "fwht", "pauli_coefficients",
     "pauli_expectation_rows", "symplectic_product",
     "Mixture", "PhaseFunction", "RealMPS", "StateVector", "density_matrix",
     "depolarize", "dicke_state", "exact_fidelity", "haar_random",

@@ -56,7 +56,7 @@ class ResultTable:
 def _emit(table: ResultTable, args) -> None:
     table.metadata.setdefault("config", " ".join(
         f"{opt.dest}={getattr(args, opt.dest)}"
-        for opt in _COMMANDS[args.command].options if opt.echo))
+        for opt in _COMMANDS[args.command].options))
     table.metadata.setdefault("version", __version__)
     table.metadata.setdefault("seed", args.seed)
     table.metadata.setdefault("workers", args.workers)
@@ -305,8 +305,8 @@ _COUNT_MAX = 2**63 - 1
 class Option:
     """One flag: its value type (`bool` for a switch), built-in default,
     range lo..hi (exit 2 outside it), qubit cap (exit 3 above it),
-    choices, help text, and whether the output's `config` line echoes
-    it (a subcommand's own options only)."""
+    choices and help text.  The output's `config` line echoes every
+    option a subcommand owns."""
 
     flag: str
     type: type
@@ -316,7 +316,6 @@ class Option:
     cap: int | None = None
     choices: tuple | None = None
     help: str | None = None
-    echo: bool = True
 
     @property
     def dest(self) -> str:
@@ -358,8 +357,7 @@ def _qubits(default, cap) -> Option:
 _FAMILIES = ("phase-random", "hypergraph-random", "hypergraph-complete3",
              "dicke", "haar", "mps")
 #: the options `_build_target` reads besides --family
-_TARGET = (_qubits(4, f2.COEFF_CAP), Option("k", int, 1, echo=False),
-           Option("chi", int, 2, echo=False))
+_TARGET = (_qubits(4, f2.COEFF_CAP), Option("k", int, 1), Option("chi", int, 2))
 
 #: the options every subcommand takes, after its own
 _COMMON = (
@@ -389,7 +387,7 @@ _COMMANDS = {
          Option("nmax", int, 6, cap=estimation.QWC_QUBIT_CAP),
          _count("samples", 100), _count("shots", 2000),
          Option("ordering", str, "canonical",
-                choices=("canonical", "greedy-weight"), echo=False))),
+                choices=("canonical", "greedy-weight")))),
     "hypergraph-bounds": Command(
         cmd_hypergraph_bounds, "rank-distribution variance bounds",
         (Option("nmin", int, 4, lo=1),
@@ -400,8 +398,7 @@ _COMMANDS = {
         (Option("scheme", str, "fofe", choices=("dfe", "fofe", "nldfe")),
          Option("family", str, "hypergraph-complete3", choices=_FAMILIES),
          *_TARGET, _count("shots", 1000), Option("alpha", float, 0.5),
-         Option("p", float, 0.0, lo=0, hi=1, echo=False),
-         Option("input-fidelity", float, echo=False),
+         Option("p", float, 0.0, lo=0, hi=1), Option("input-fidelity", float),
          Option("mom-batches", int, 1))),
     "tomography": Command(
         cmd_tomography, "MUB tomography shot ladder",
@@ -410,11 +407,11 @@ _COMMANDS = {
     "mps-sample": Command(
         cmd_mps_sample, "MPS l2 sampling",
         (_qubits(6, states.MPS_QUBIT_CAP), Option("chi", int, 4),
-         _count("samples", 200), Option("verify", bool, False, echo=False))),
+         _count("samples", 200), Option("verify", bool, False))),
     "dicke": Command(
         cmd_dicke, "Dicke-state l1 sampling",
         (_qubits(8, samplers.DICKE_QUBIT_CAP), Option("k", int, 3),
-         _count("samples", 1000), Option("verify", bool, False, echo=False))),
+         _count("samples", 1000), Option("verify", bool, False))),
     "norms": Command(
         cmd_norms, "magic norms of one state",
         (Option("family", str, "haar", choices=_FAMILIES), *_TARGET)),
@@ -445,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _fill(args: argparse.Namespace, options) -> None:
     """Fill unset options: CLI flags > config file > built-in defaults.
-    A null in the file leaves the option to the default."""
+    A null in the file leaves the option to the default; a key that names
+    no option of the subcommand (in flag or dest spelling) is an error."""
     file_cfg = {}
     if args.config:
         try:
@@ -455,6 +453,10 @@ def _fill(args: argparse.Namespace, options) -> None:
             raise ConfigError(f"cannot read config {args.config}: {exc}")
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = set(file_cfg) - {key for opt in options for key in (opt.flag, opt.dest)}
+        if unknown:
+            raise ConfigError(f"config keys name no option of {args.command}: "
+                              f"{', '.join(sorted(unknown))}")
     for opt in options:
         if getattr(args, opt.dest) is not None or opt.flag == "config":
             continue

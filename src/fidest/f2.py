@@ -1,5 +1,5 @@
-"""Binary-symplectic Pauli algebra, packed F2 linear algebra, and the fast
-Walsh-Hadamard transform.
+"""Binary-symplectic Pauli algebra, the batched F2 rank of packed-row
+matrices, and the fast Walsh-Hadamard transform.
 
 Conventions
 -----------
@@ -27,6 +27,10 @@ Every Pauli expectation comes from :func:`pauli_expectation_rows`, one
 Walsh-Hadamard transform per XOR-diagonal row.  A real-amplitude state's
 ``entries`` are float64, so its rows take a real transform; complex rows
 take the complex one.  Both give the same values.
+
+Every F2 rank (``magic``'s derivative matrices, ``tomography``'s MUB
+generators) comes from :func:`f2_rank`, one batched elimination over
+packed uint64 rows of up to 64 columns.
 """
 
 from __future__ import annotations
@@ -218,44 +222,23 @@ def _fwht_stages(a: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Packed F2 matrices
+# Packed F2 rank
 
 
-@dataclass(frozen=True)
-class F2Matrix:
-    """Binary matrix stored one packed word per row (bit j of ``bits[i]``
-    is entry (i, j); arbitrary-width rows ride on Python integers)."""
-
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
-    hollow_symmetric: bool = False
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.rows:
-            raise DimensionError(f"{len(self.bits)} rows packed, declared {self.rows}")
-        mask = (1 << self.cols) - 1
-        if any(row & ~mask for row in self.bits):
-            raise DimensionError("row has bits beyond declared column count")
-        if self.hollow_symmetric:
-            if self.rows != self.cols:
-                raise DimensionError("hollow-symmetric matrix must be square")
-            for i in range(self.rows):
-                if (self.bits[i] >> i) & 1:
-                    raise NumericalHealthError("hollow-symmetric matrix has diagonal bit")
-                for j in range(i):
-                    if ((self.bits[i] >> j) & 1) != ((self.bits[j] >> i) & 1):
-                        raise NumericalHealthError("hollow-symmetric flag on asymmetric matrix")
-
-
-def f2_rank(m: F2Matrix) -> int:
-    """Binary rank by word-parallel Gaussian elimination."""
-    rows = [row for row in m.bits if row]
-    rank = 0
-    while rows:
-        pivot = rows.pop()
-        low = pivot & -pivot
-        rank += 1
-        rows = [row ^ pivot if row & low else row for row in rows]
-        rows = [row for row in rows if row]
-    return rank
+def f2_rank(rows) -> np.ndarray:
+    """Binary ranks of a stack of matrices of packed rows: ``rows`` has
+    shape (..., m), one uint64 word per row with column j at bit j, and
+    the int64 ranks have shape ``rows.shape[:-1]``.  One vectorised pass
+    per column over the whole stack: XOR-ing each matrix's first row
+    holding the column into every row holding it clears the column and
+    the pivot row itself, so the rank counts the pivots."""
+    rows = np.array(rows, dtype=np.uint64)
+    if rows.ndim < 1:
+        raise DimensionError("f2_rank needs an array of packed rows")
+    ranks = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for col in range(int(np.bitwise_or.reduce(rows, axis=None)).bit_length()):
+        hit = rows & np.uint64(1 << col) != 0
+        pivot = np.take_along_axis(rows, hit.argmax(axis=-1, keepdims=True), axis=-1)
+        rows ^= np.where(hit, pivot, np.uint64(0))
+        ranks += hit.any(axis=-1)
+    return ranks

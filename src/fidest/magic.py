@@ -3,6 +3,9 @@ Renyi entropies, direct-fidelity-estimation variance bounds, the
 hypergraph second-derivative rank machinery with its closed-form
 complete-graph and random-hypergraph brackets, Haar-average l1 closed
 forms, and the Dirichlet estimator for the phase-stripped l1 norm.
+
+Derivative matrices N(x) are packed uint64 rows, built for a whole array
+of x (and of edge sets) at once and ranked by one ``f2.f2_rank`` call.
 """
 
 from __future__ import annotations
@@ -10,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable
 
 import numpy as np
 
-from .f2 import COEFF_TOL, F2Matrix, f2_rank, pauli_coefficients
+from .f2 import COEFF_TOL, f2_rank, pauli_coefficients
 from .states import PhaseFunction
 
 _LN2 = math.log(2.0)
@@ -77,32 +80,55 @@ def norms(psi, alphas: Iterable[float] = (0.0, 0.5, 1.0, 2.0)) -> NormReport:
 # Hypergraph rank machinery
 
 
-def hypergraph_derivative_matrix(n: int, monomials, x: int) -> F2Matrix:
-    """Second-derivative matrix N(x) of a degree-<=3 phase polynomial.
+def _qubit_bits(n: int, x) -> np.ndarray:
+    """Bits x_1..x_n (qubit 1 = the most significant) of each word of the
+    int array x, as uint64 0/1 along a new last axis."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    return np.asarray(x, dtype=np.uint64)[..., None] >> shifts & np.uint64(1)
+
+
+def _pack_rows(entries: np.ndarray) -> np.ndarray:
+    """Packed rows of 0/1 matrices (..., rows, cols): bit j is column j."""
+    cols = np.arange(entries.shape[-1], dtype=np.uint64)
+    return (entries.astype(np.uint64) << cols).sum(axis=-1)
+
+
+def hypergraph_derivative_matrix(n: int, monomials, x, keep=None) -> np.ndarray:
+    """Second-derivative matrices N(x) of a degree-<=3 phase polynomial at
+    each word of the int array x, as packed rows (bit k-1 of row m-1 is
+    entry (m, k)) of shape ``x.shape + (n,)``.  ``keep[..., t]``, when
+    given, says whether the t-th sorted cubic monomial is in each matrix.
 
     Entry (m, k) is the parity over cubic monomials {i, m, k} of x_i (the
     bit of the displacement word at the third vertex).  Lower-degree
     monomials contribute nothing to the bilinear form.  Always hollow
     symmetric.
     """
-    rows = [0] * n
-    for mono in PhaseFunction.from_polynomial(n, monomials).monomials:
-        if len(mono) > 3:
-            raise ValueError(f"monomial {mono} has degree > 3")
-        if len(mono) != 3:
-            continue
-        i, m, k = mono
-        for a, b, c in ((i, m, k), (m, i, k), (k, i, m)):
-            # monomial's vertex `a` supplies x_a to entry (b, c)
-            if (x >> (n - a)) & 1:
-                rows[b - 1] ^= 1 << (c - 1)
-                rows[c - 1] ^= 1 << (b - 1)
-    return F2Matrix(rows=n, cols=n, bits=tuple(rows), hollow_symmetric=True)
+    monos = PhaseFunction.from_polynomial(n, monomials).monomials
+    if bad := [mono for mono in monos if len(mono) > 3]:
+        raise ValueError(f"monomial {bad[0]} has degree > 3")
+    cubic = np.array([mono for mono in monos if len(mono) == 3], dtype=np.int64).reshape(-1, 3)
+    kept = np.ones(len(cubic), np.uint8) if keep is None else np.asarray(keep, np.uint8)
+    # a repeated monomial (the sorted list holds its copies side by side)
+    # counts by the parity of the copies kept
+    first = np.flatnonzero(np.diff(cubic, axis=0, prepend=-1).any(axis=1))
+    kept = np.add.reduceat(kept, first, axis=-1, dtype=np.uint8) & 1
+    kept = np.concatenate([kept, np.zeros(kept.shape[:-1] + (1,), np.uint8)], axis=-1)
+    # slot[i, m, k]: the position of monomial {i, m, k} in `kept`, or its
+    # last position, a slot never kept
+    slot = np.full((n, n, n), first.size)
+    for order in permutations(cubic[first].T - 1):
+        slot[order] = np.arange(first.size)
+    bits = _qubit_bits(n, x).astype(np.uint8)
+    return _pack_rows(np.einsum("...i,...imk->...mk", bits, kept[..., slot]) & 1)
 
 
-#: largest n of random3_sampled_bounds that the CLI runs: each sample
-#: costs O(n^3) Python work, so the default 2000 samples stay at seconds
-SAMPLED_RANK_QUBIT_CAP = 20
+#: largest n of random3_sampled_bounds that the CLI runs: its default 2000
+#: samples take ~1.2 s at n = 40 (O(n^3) array work each) on a 2-core Xeon
+SAMPLED_RANK_QUBIT_CAP = 40
+
+#: edge flags (n^3 per matrix) gathered at once by random3_sampled_bounds
+RANK_BLOCK_ENTRIES = 1 << 22
 
 
 def random3_sampled_bounds(n: int, samples: int,
@@ -111,15 +137,18 @@ def random3_sampled_bounds(n: int, samples: int,
     1/2-DFE second moment over random third-order hypergraphs, the
     sampled counterpart of :func:`random3_variance_bounds`: each sample
     draws a fresh edge set (each cubic edge kept with probability 1/2)
-    and a uniform x, and takes the rank of N(x)."""
+    and a uniform x, and takes the rank of N(x).  The matrices are built
+    and ranked in blocks of samples, so memory does not grow with them."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     triples = list(combinations(range(1, n + 1), 3))
+    block = max(1, RANK_BLOCK_ENTRIES // n**3)
     ranks = np.empty(samples)
-    for j in range(samples):
-        keep = [t for t, u in zip(triples, rng.random(len(triples))) if u < 0.5]
-        x = int(rng.integers(0, 1 << n))
-        ranks[j] = f2_rank(hypergraph_derivative_matrix(n, keep, x))
+    for lo in range(0, samples, block):
+        draws = [(rng.random(len(triples)) < 0.5, rng.integers(0, 1 << n))
+                 for _ in range(min(block, samples - lo))]
+        keep, x = map(np.array, zip(*draws))
+        ranks[lo:lo + len(draws)] = f2_rank(hypergraph_derivative_matrix(n, triples, x, keep))
     return VarianceBounds(lower=float(2.0 ** ranks.mean()),
                           upper=float(np.mean(2.0**ranks)),
                           method="sampled-rank")
@@ -153,22 +182,15 @@ def hollow_rank_distribution(n: int) -> dict:
     return r
 
 
-def complete3_rank(n: int, x: int) -> int:
-    """F2 rank of the complete 3-hypergraph derivative matrix at x,
-    via the closed form N(x)_{m,k} = |x| + x_m + x_k mod 2 (m != k)."""
-    s = bin(x).count("1") & 1
-    rows = []
-    for m in range(1, n + 1):
-        xm = (x >> (n - m)) & 1
-        row = 0
-        for k in range(1, n + 1):
-            if k == m:
-                continue
-            xk = (x >> (n - k)) & 1
-            if (s + xm + xk) & 1:
-                row |= 1 << (k - 1)
-        rows.append(row)
-    return f2_rank(F2Matrix(rows=n, cols=n, bits=tuple(rows), hollow_symmetric=True))
+def complete3_rank(n: int, x):
+    """F2 rank of the complete 3-hypergraph derivative matrix at x (an int,
+    giving an int, or an int array, giving an array), via the closed form
+    N(x)_{m,k} = |x| + x_m + x_k mod 2 (m != k)."""
+    bits = _qubit_bits(n, x)
+    weight = bits.sum(axis=-1)[..., None, None]
+    entries = (weight + bits[..., :, None] + bits[..., None, :]) & np.uint64(1)
+    ranks = f2_rank(_pack_rows(entries * (1 - np.eye(n, dtype=np.uint64))))
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def _complete3_weight_classes(n: int) -> list[tuple[int, int]]:
@@ -176,8 +198,9 @@ def _complete3_weight_classes(n: int) -> list[tuple[int, int]]:
     3-hypergraph, whose derivative-matrix rank depends on |x| alone."""
     if n < 3:
         raise ValueError("n >= 3 required")
-    return [(math.comb(n, w), complete3_rank(n, ((1 << w) - 1) << (n - w)))
-            for w in range(n + 1)]
+    words = np.array([((1 << w) - 1) << (n - w) for w in range(n + 1)], dtype=np.uint64)
+    return [(math.comb(n, w), rank)
+            for w, rank in enumerate(complete3_rank(n, words).tolist())]
 
 
 def complete3_l1_exact(n: int) -> float:

@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceededError, DimensionError, NumericalHealthError
-from .f2 import pauli_phase, popcount_array, symplectic_product
+from .f2 import f2_rank, pauli_phase, popcount_array, symplectic_product
 
 MUB_QUBIT_CAP = 4
 
@@ -88,23 +88,14 @@ def _dense_pauli(n: int, ax, az) -> np.ndarray:
 
 
 def _f2_independent_generators(paulis: np.ndarray, n: int) -> np.ndarray:
-    """Greedy maximal F2-independent subset of the class (n generators),
-    by elimination of the flat indices (ax << n) | az in class order."""
+    """The class members, in class order, that raise the F2 rank of the
+    members before them: a maximal independent subset (n generators),
+    from the ranks of every prefix of the flat indices (ax << n) | az."""
     ax, az = paulis
-    pivots = {}
-    gens = []
-    for j, v in enumerate((ax << n | az).tolist()):
-        while v:
-            hb = v.bit_length() - 1
-            if hb in pivots:
-                v ^= pivots[hb]
-            else:
-                pivots[hb] = v
-                gens.append(j)
-                break
-        if len(gens) == n:
-            break
-    if len(gens) != n:
+    words = (ax << n | az).astype(np.uint64)
+    prefixes = np.tril(np.broadcast_to(words, (words.size, words.size)))
+    gens = np.flatnonzero(np.diff(f2_rank(prefixes), prepend=0))
+    if gens.size != n:
         raise NumericalHealthError("commuting class is not maximal")
     return paulis[:, gens]
 

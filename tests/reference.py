@@ -1,10 +1,11 @@
 """Test-input builders and reference formulas that `fidest` itself never
 needs: gates applied to amplitude arrays, a density matrix as the
 mixture of its eigenvectors, an MPS amplitude read by direct contraction,
-dense <-> packed F2 matrices, frame codes from Z/X/Y labels, the Pauli
-claims of a QWC partition, the all-complex Pauli expectation kernel, the
-per-shot DFE draw, a mixture's entries as one sum, and two closed forms
-the Haar and Dirichlet tests compare against."""
+dense <-> packed F2 matrices and the dense F2 rank oracle, frame codes
+from Z/X/Y labels, the Pauli claims of a QWC partition, the all-complex
+Pauli expectation kernel, the per-shot DFE draw, a mixture's entries as
+one sum, and two closed forms the Haar and Dirichlet tests compare
+against."""
 
 import math
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from fidest.errors import NumericalHealthError
 from fidest.estimation import QWC_TOL, _in_blocks, _weights
-from fidest.f2 import CHUNK_BYTES, F2Matrix, fwht, pauli_phase, xor_diagonals
+from fidest.f2 import CHUNK_BYTES, fwht, pauli_phase, xor_diagonals
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
 
@@ -46,20 +47,36 @@ def mps_amplitude(mps: RealMPS, x: int) -> float:
     return float(vec @ mps.right)
 
 
-def f2_from_dense(array, hollow_symmetric: bool = False) -> F2Matrix:
-    """Packed F2Matrix of a 0/1 array (bit j of row i is entry (i, j))."""
-    arr = np.asarray(array, dtype=np.int64) & 1
-    rows = tuple(int(sum(int(bit) << j for j, bit in enumerate(row))) for row in arr)
-    return F2Matrix(arr.shape[0], arr.shape[1], rows, hollow_symmetric)
+def f2_pack(dense) -> np.ndarray:
+    """Packed uint64 rows of a stack of 0/1 matrices (..., rows, cols),
+    bit j of a row being its column j."""
+    arr = np.asarray(dense, dtype=np.uint64) & np.uint64(1)
+    return np.bitwise_or.reduce(arr << np.arange(arr.shape[-1], dtype=np.uint64),
+                                axis=-1)
 
 
-def f2_to_dense(m: F2Matrix) -> np.ndarray:
-    """The 0/1 array of a packed F2Matrix."""
-    out = np.zeros((m.rows, m.cols), dtype=np.int64)
-    for i, row in enumerate(m.bits):
-        for j in range(m.cols):
-            out[i, j] = (row >> j) & 1
-    return out
+def f2_unpack(rows, cols: int) -> np.ndarray:
+    """The 0/1 matrices (..., rows, cols) of packed uint64 rows."""
+    words = np.asarray(rows, dtype=np.uint64)[..., None]
+    return (words >> np.arange(cols, dtype=np.uint64) & np.uint64(1)).astype(np.int64)
+
+
+def naive_rank(dense: np.ndarray) -> int:
+    """Binary rank of one 0/1 matrix by dense Gauss-Jordan elimination,
+    entry by entry: the oracle for ``f2.f2_rank``."""
+    m = np.array(dense, dtype=np.int64) % 2
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i, c]), None)
+        if piv is None:
+            continue
+        m[[r, piv]] = m[[piv, r]]
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] ^= m[r]
+        r += 1
+    return r
 
 
 def label_codes(frames) -> np.ndarray:

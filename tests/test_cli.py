@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -254,6 +255,24 @@ class TestConfigPrecedence:
         meta, _, _ = parse_csv(out)
         assert meta["seed"] == "9"
 
+    def test_unknown_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"shot": 10, "nn": 3}))
+        code, out, err = run_cli(capsys, "norms", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "nn" in err and "shot" in err
+        assert "Traceback" not in err
+
+    def test_both_spellings_and_config_key_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for key in ("mom-batches", "mom_batches"):
+            cfg.write_text(json.dumps({key: 2, "config": "ignored.json"}))
+            code, out, _ = run_cli(capsys, "run", "--n", "2", "--shots", "10",
+                                   "--config", str(cfg), "--deterministic")
+            assert code == 0
+            assert "mom_batches=2" in parse_csv(out)[0]["config"]
+
     def test_bad_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         for content in (b"not json", b"\xd0\xff binary"):
@@ -270,6 +289,55 @@ def _readme_commands():
     return [shlex.split(line)[1:]
             for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("fidest ")]
+
+
+def _readme_caps():
+    """(cap cell, module, constant) of each row of README's "Size caps"
+    table that names a module constant."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("## Size caps", 1)[1].split("\n\n|", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1:-1] for line in ("|" + table).splitlines()[2:]]
+    return [(cap, *named.groups()) for _, cap, constant in rows
+            if (named := re.match(r" `(\w+)\.([A-Z_]+)`", constant))]
+
+
+@pytest.mark.parametrize("cap,module,constant", _readme_caps(),
+                         ids=[c for _, _, c in _readme_caps()])
+def test_readme_cap_is_the_constant(cap, module, constant):
+    assert int(re.search(r"≤ (\d+)", cap).group(1)) == getattr(
+        getattr(fidest, module), constant)
+
+
+def test_readme_caps_table_is_read():
+    assert {c for _, _, c in _readme_caps()} >= {
+        "COEFF_CAP", "QWC_QUBIT_CAP", "SAMPLED_RANK_QUBIT_CAP", "MUB_QUBIT_CAP",
+        "MPS_QUBIT_CAP", "MPS_BOND_CAP", "DICKE_QUBIT_CAP"}
+
+
+class TestConfigEcho:
+    """The `config` metadata line echoes every option a subcommand owns."""
+
+    @staticmethod
+    def config_line(capsys, argv):
+        args = cli._parse(argv)
+        cli._emit(cli.ResultTable(columns=["x"]), args)
+        return parse_csv(capsys.readouterr().out)[0]["config"]
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_names_every_option(self, capsys, command):
+        args = vars(cli._parse([command]))
+        echoed = self.config_line(capsys, [command]).split(" ")
+        assert echoed == [f"{opt.dest}={args[opt.dest]}"
+                          for opt in cli._COMMANDS[command].options]
+
+    def test_noise_level_is_echoed(self, capsys):
+        lines = set()
+        for p in ("0.1", "0.3"):
+            code, out, _ = run_cli(capsys, "run", "--n", "2", "--shots", "10",
+                                   "--p", p, "--deterministic")
+            assert code == 0
+            lines.add(parse_csv(out)[0]["config"])
+        assert len(lines) == 2
 
 
 class TestOptionTable:

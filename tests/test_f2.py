@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fidest import estimation, f2
+from fidest import estimation, f2, magic
 from fidest.errors import CapExceededError, DimensionError, NumericalHealthError
 from fidest.states import (PhaseFunction, StateVector, complete_3_hypergraph_edges,
                            density_matrix, depolarize, dicke_state, haar_random,
                            hypergraph_state, mps_to_statevector, phase_state,
                            phase_strip, random_real_mps)
-from reference import f2_from_dense, label_codes, pauli_expectation_rows_complex
+from reference import (f2_pack, f2_unpack, label_codes, naive_rank,
+                       pauli_expectation_rows_complex)
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -252,38 +253,44 @@ class TestFWHT:
         assert np.max(np.abs(back - v)) < 1e-12 * max(1.0, np.abs(v).max())
 
 
-def naive_rank(dense: np.ndarray) -> int:
-    m = dense.copy() % 2
-    rank = 0
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i, c]), None)
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] ^= m[r]
-        r += 1
-        rank += 1
-    return rank
+@st.composite
+def packed_stacks(draw):
+    """A stack of 0/1 matrices, up to two batch axes and 64 columns, as
+    (kind, dense, packed rows): rectangular products A B of random inner
+    dimension (rank at most that), hollow-symmetric matrices, or
+    hypergraph derivative matrices N(x) (hollow symmetric as well)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    kind = draw(st.sampled_from(("rectangular", "hollow", "hypergraph")))
+    if kind == "rectangular":
+        rows, inner, cols = (draw(st.integers(1, 64)) for _ in range(3))
+        dense = (rng.integers(0, 2, batch + (rows, inner))
+                 @ rng.integers(0, 2, (inner, cols))) % 2
+    elif kind == "hollow":
+        n = draw(st.integers(1, 64))
+        upper = np.triu(rng.integers(0, 2, batch + (n, n)), k=1)
+        dense = upper + np.swapaxes(upper, -1, -2)
+    else:
+        n = draw(st.integers(3, 64))
+        monos = [tuple(rng.choice(n, 3, replace=False) + 1)
+                 for _ in range(draw(st.integers(0, 4 * n)))]
+        x = rng.integers(0, 1 << n, batch, dtype=np.uint64)
+        dense = f2_unpack(magic.hypergraph_derivative_matrix(n, monos, x), n)
+    return kind, dense, f2_pack(dense)
 
 
 class TestF2Rank:
     def test_identity(self):
-        m = f2_from_dense(np.eye(5, dtype=int))
-        assert f2.f2_rank(m) == 5
+        assert f2.f2_rank(f2_pack(np.eye(5, dtype=int))) == 5
 
     def test_all_ones(self):
-        m = f2_from_dense(np.ones((2, 2), dtype=int))
-        assert f2.f2_rank(m) == 1
+        assert f2.f2_rank(f2_pack(np.ones((2, 2), dtype=int))) == 1
 
     def test_random_vs_naive(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             dense = rng.integers(0, 2, (20, 20))
-            assert f2.f2_rank(f2_from_dense(dense)) == naive_rank(dense)
+            assert f2.f2_rank(f2_pack(dense)) == naive_rank(dense)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(2, 16), st.integers(0, 2**31 - 1))
@@ -291,8 +298,31 @@ class TestF2Rank:
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.integers(0, 2, (n, n)), k=1)
         dense = upper + upper.T
-        m = f2_from_dense(dense, hollow_symmetric=True)
-        assert f2.f2_rank(m) % 2 == 0
+        assert f2.f2_rank(f2_pack(dense)) % 2 == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_stacks())
+    def test_stack_matches_naive_matrix_by_matrix(self, stack):
+        kind, dense, rows = stack
+        ranks = f2.f2_rank(rows)
+        assert ranks.shape == rows.shape[:-1] == dense.shape[:-2]
+        want = [naive_rank(m) for m in dense.reshape(-1, *dense.shape[-2:])]
+        assert ranks.reshape(-1).tolist() == want
+        if kind != "rectangular":
+            assert (ranks % 2 == 0).all()
+
+    def test_full_width(self):
+        # column 63 is the sign bit of an int64: the words stay uint64
+        rng = np.random.default_rng(11)
+        dense = rng.integers(0, 2, (4, 64, 64))
+        dense[:, :, 63] = 1
+        assert f2.f2_rank(f2_pack(dense)).tolist() == [naive_rank(m) for m in dense]
+
+    def test_empty_shapes(self):
+        assert f2.f2_rank(np.zeros((0, 4))).shape == (0,)
+        assert f2.f2_rank(np.zeros((2, 3, 0))).tolist() == [[0] * 3] * 2
+        with pytest.raises(DimensionError):
+            f2.f2_rank(np.uint64(5))
 
 
 class TestDiagonalizingFrame:

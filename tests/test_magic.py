@@ -14,7 +14,7 @@ from fidest import magic, states
 from fidest.errors import DimensionError
 from fidest.f2 import f2_rank, pauli_coefficients
 from incomplete_beta import incomplete_beta, incomplete_beta_log
-from reference import (dirichlet_sqrt_pair_moment, f2_from_dense, f2_to_dense,
+from reference import (dirichlet_sqrt_pair_moment, f2_pack, f2_unpack,
                        haar_l1_asymptote)
 
 
@@ -73,7 +73,7 @@ class TestHypergraphRank:
         monos = [(1, 2, 3), (2, 4, 5), (1, 3, 5)]
         for _ in range(10):
             x = int(rng.integers(0, 1 << n))
-            got = f2_to_dense(magic.hypergraph_derivative_matrix(n, monos, x))
+            got = f2_unpack(magic.hypergraph_derivative_matrix(n, monos, x), n)
             assert np.array_equal(got, naive_derivative_matrix(n, monos, x))
 
     def test_quadratic_terms_do_not_contribute(self):
@@ -83,8 +83,8 @@ class TestHypergraphRank:
         cubic = [(1, 2, 3)]
         mixed = [(1, 2, 3), (1, 4), (2, 3)]
         for x in range(1 << n):
-            a = f2_to_dense(magic.hypergraph_derivative_matrix(n, cubic, x))
-            b = f2_to_dense(magic.hypergraph_derivative_matrix(n, mixed, x))
+            a = f2_unpack(magic.hypergraph_derivative_matrix(n, cubic, x), n)
+            b = f2_unpack(magic.hypergraph_derivative_matrix(n, mixed, x), n)
             assert np.array_equal(a, b)
 
     def test_rejects_bad_monomials(self):
@@ -102,6 +102,27 @@ class TestHypergraphRank:
                 direct = f2_rank(
                     magic.hypergraph_derivative_matrix(n, edges, x))
                 assert magic.complete3_rank(n, x) == direct
+            xs = np.arange(1 << n)
+            assert np.array_equal(magic.complete3_rank(n, xs), f2_rank(
+                magic.hypergraph_derivative_matrix(n, edges, xs)))
+
+    def test_keep_selects_sorted_cubic_monomials(self):
+        # keep[..., t] keeps the t-th sorted cubic monomial; a monomial
+        # given twice cancels, as in the phase polynomial, unless one copy
+        # is dropped
+        n = 5
+        monos = [(3, 4, 5), (1, 2), (1, 2, 3), (2, 4, 5), (1, 2, 3)]
+        cubic = [(1, 2, 3), (1, 2, 3), (2, 4, 5), (3, 4, 5)]
+        rng = np.random.default_rng(6)
+        keep = rng.random((7, 1, len(cubic))) < 0.5
+        xs = np.arange(1 << n)
+        got = magic.hypergraph_derivative_matrix(n, monos, xs, keep)
+        assert got.shape == (7, 1 << n, n)
+        for rows, kk in zip(got, keep[:, 0]):
+            kept = [t for t, k in zip(cubic, kk) if k]
+            for x in xs:
+                assert np.array_equal(f2_unpack(rows[x], n),
+                                      naive_derivative_matrix(n, kept, int(x)))
 
     def test_l1_identity_against_coefficients(self):
         # l1 = E_x 2^(rank/2) must equal the brute-force Pauli l1-norm.
@@ -152,6 +173,25 @@ class TestHypergraphRank:
         assert abs(vb.lower - closed.lower) <= 4 * se_lower
         assert abs(vb.upper - closed.upper) <= 4 * se_upper
 
+    def test_sampled_bounds_do_not_depend_on_the_block(self, monkeypatch):
+        # each sample draws rng.random(T) and then its x, whatever the
+        # block; its rank is that of the matrix of the kept edge list
+        n, samples = 6, 50
+        want = magic.random3_sampled_bounds(n, samples, np.random.default_rng(2))
+        monkeypatch.setattr(magic, "RANK_BLOCK_ENTRIES", 7 * n**3)
+        got = magic.random3_sampled_bounds(n, samples, np.random.default_rng(2))
+        assert (got.lower, got.upper) == (want.lower, want.upper)
+        rng = np.random.default_rng(2)
+        triples = states.complete_3_hypergraph_edges(n)
+        ranks = []
+        for _ in range(samples):
+            kept = [t for t, u in zip(triples, rng.random(len(triples))) if u < 0.5]
+            x = int(rng.integers(0, 1 << n))
+            ranks.append(int(f2_rank(magic.hypergraph_derivative_matrix(n, kept, x))))
+        ranks = np.array(ranks, dtype=float)
+        assert want.lower == float(2.0 ** ranks.mean())
+        assert want.upper == float(np.mean(2.0**ranks))
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_complete3_bounds_match_enumeration(self, n):
         ranks = np.array([magic.complete3_rank(n, x) for x in range(1 << n)])
@@ -163,12 +203,14 @@ class TestHypergraphRank:
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_random3_bounds_match_enumeration(self, n):
-        # every edge set of the cubic hypergraphs on n vertices, every x
+        # every edge set of the cubic hypergraphs on n vertices, every x,
+        # in one call: keep[mask, 0, j] is bit j of the edge-set mask
         triples = states.complete_3_hypergraph_edges(n)
-        ranks = np.array([
-            f2_rank(magic.hypergraph_derivative_matrix(
-                n, [t for j, t in enumerate(triples) if mask >> j & 1], x))
-            for mask in range(1 << len(triples)) for x in range(1 << n)])
+        masks = np.arange(1 << len(triples))[:, None, None]
+        keep = masks >> np.arange(len(triples)) & 1
+        ranks = f2_rank(magic.hypergraph_derivative_matrix(
+            n, triples, np.arange(1 << n), keep))
+        assert ranks.shape == (1 << len(triples), 1 << n)
         vb = magic.random3_variance_bounds(n)
         assert vb.lower == pytest.approx(2.0 ** ranks.mean(), rel=0, abs=1e-12)
         assert vb.upper == pytest.approx(np.mean(2.0 ** ranks), rel=0,
@@ -192,7 +234,7 @@ class TestHollowRankCounts:
         for bits in range(8):
             e12, e13, e23 = bits & 1, (bits >> 1) & 1, (bits >> 2) & 1
             dense = np.array([[0, e12, e13], [e12, 0, e23], [e13, e23, 0]])
-            r = f2_rank(f2_from_dense(dense))
+            r = int(f2_rank(f2_pack(dense)))
             counts[r] = counts.get(r, 0) + 1
         for r in range(4):
             assert magic.hollow_symmetric_rank_count(3, r) == counts.get(r, 0)
