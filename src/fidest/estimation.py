@@ -39,10 +39,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceededError, ConfigError, DimensionError
-from .f2 import (_REAL_POWERS_OF_I, CHUNK_BYTES, COEFF_TOL, CoeffVector,
+from .f2 import (_REAL_POWERS_OF_I, COEFF_TOL, CoeffVector,
                  _apply_pauli_amps, fwht, pauli_coefficients,
                  pauli_expectation_rows, pauli_phase, popcount_array,
-                 xor_diagonals)
+                 row_chunks, xor_diagonals)
 from .samplers import CdfTable, ExactSampler, UniformXSampler
 from .states import PhaseFunction, StateVector, exact_fidelity, phase_strip
 
@@ -94,18 +94,14 @@ def _in_blocks(shots: int, block) -> np.ndarray:
                            for start in range(0, shots, BLOCK_SHOTS)], axis=-1)
 
 
-def _row_chunks(count: int, row_bytes: int):
-    step = max(1, CHUNK_BYTES // row_bytes)
-    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
-
-
 def _parity_signs(words: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * (popcount_array(words.astype(np.uint64)) & 1)
 
 
-def _weights(sampler, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
-    """Importance weight norm_sum |c|^(1 - 2 alpha) sign(c) of each point."""
-    c = sampler.coefficients(ax, az)
+def _weights(sampler, ax: np.ndarray, az: np.ndarray, c=None) -> np.ndarray:
+    """Importance weight norm_sum |c|^(1 - 2 alpha) sign(c) of each point
+    (c by default ``sampler.coefficients(ax, az)``)."""
+    c = sampler.coefficients(ax, az) if c is None else c
     if np.any(np.abs(c) <= COEFF_TOL / 10):
         bad = np.argmin(np.abs(c))
         raise AssertionError(f"sampled zero-coefficient point n={sampler.n} "
@@ -115,7 +111,7 @@ def _weights(sampler, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
 
 def _born_law_rows(rho, frames, n: int) -> np.ndarray:
     return np.vstack([rho.born_laws(frames[sl])
-                      for sl in _row_chunks(len(frames), 16 << n)])
+                      for sl in row_chunks(len(frames), 16 << n)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,11 +175,12 @@ def _dfe_values(sampler, shots: int, rng: np.random.Generator,
     """Each shot draws a from the l_2a law and measures the two-outcome
     POVM {(I + T_a)/2, (I - T_a)/2}: +w(a) with probability
     (1 + <T_a>)/2, else -w(a); expectations(ax, az) gives <T_a>.  w and
-    (1 + <T_a>)/2 are formed once a call over the sampler's support, with
-    one expectations call, so a shot is one guided search (the support
-    position k), two gathers and one compare."""
-    ax, az = sampler.support_words()
-    w = _weights(sampler, ax, az)
+    (1 + <T_a>)/2 are formed once a call over the sampler's support, w
+    from the support's own coefficients and <T_a> with one expectations
+    call, so a shot is one guided search (the support position k), two
+    gathers and one compare."""
+    ax, az, c = sampler.support()
+    w = _weights(sampler, ax, az, c)
     plus = (1.0 + expectations(ax, az)) / 2.0
     del ax, az
 

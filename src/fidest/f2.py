@@ -99,6 +99,12 @@ def pauli_phase(ax, az) -> np.ndarray:
 CHUNK_BYTES = 1 << 20
 
 
+def row_chunks(count: int, row_bytes: int) -> list:
+    """Slices over `count` rows of `row_bytes` each, CHUNK_BYTES a slice."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def xor_diagonals(state, ax) -> np.ndarray:
     """Rows rho[x, x ^ ax_j] over every x, one per word ax_j, read through
     the state's ``entries``: every Pauli expectation and Hadamard-test law

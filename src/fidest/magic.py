@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable
 
@@ -93,6 +94,24 @@ def _pack_rows(entries: np.ndarray) -> np.ndarray:
     return (entries.astype(np.uint64) << cols).sum(axis=-1)
 
 
+@lru_cache(maxsize=8)
+def _cubic_slots(n: int, monomials: tuple):
+    """The checked, sorted cubic monomials, once for every block of x:
+    their count, the sorted position first[t] of the t-th distinct one's
+    first copy, and the t of each monomial {i, m, k} as slot[i, m, k]
+    (first.size for none), read-only as the cache shares them."""
+    monos = PhaseFunction.from_polynomial(n, monomials).monomials
+    if bad := [mono for mono in monos if len(mono) > 3]:
+        raise ValueError(f"monomial {bad[0]} has degree > 3")
+    cubic = np.array([mono for mono in monos if len(mono) == 3], dtype=np.int64).reshape(-1, 3)
+    first = np.flatnonzero(np.diff(cubic, axis=0, prepend=-1).any(axis=1))
+    slot = np.full((n, n, n), first.size)
+    for order in permutations(cubic[first].T - 1):
+        slot[order] = np.arange(first.size)
+    first.flags.writeable = slot.flags.writeable = False
+    return len(cubic), first, slot
+
+
 def hypergraph_derivative_matrix(n: int, monomials, x, keep=None) -> np.ndarray:
     """Second-derivative matrices N(x) of a degree-<=3 phase polynomial at
     each word of the int array x, as packed rows (bit k-1 of row m-1 is
@@ -104,27 +123,18 @@ def hypergraph_derivative_matrix(n: int, monomials, x, keep=None) -> np.ndarray:
     monomials contribute nothing to the bilinear form.  Always hollow
     symmetric.
     """
-    monos = PhaseFunction.from_polynomial(n, monomials).monomials
-    if bad := [mono for mono in monos if len(mono) > 3]:
-        raise ValueError(f"monomial {bad[0]} has degree > 3")
-    cubic = np.array([mono for mono in monos if len(mono) == 3], dtype=np.int64).reshape(-1, 3)
-    kept = np.ones(len(cubic), np.uint8) if keep is None else np.asarray(keep, np.uint8)
+    count, first, slot = _cubic_slots(n, tuple(map(tuple, monomials)))
+    kept = np.ones(count, np.uint8) if keep is None else np.asarray(keep, np.uint8)
     # a repeated monomial (the sorted list holds its copies side by side)
     # counts by the parity of the copies kept
-    first = np.flatnonzero(np.diff(cubic, axis=0, prepend=-1).any(axis=1))
     kept = np.add.reduceat(kept, first, axis=-1, dtype=np.uint8) & 1
     kept = np.concatenate([kept, np.zeros(kept.shape[:-1] + (1,), np.uint8)], axis=-1)
-    # slot[i, m, k]: the position of monomial {i, m, k} in `kept`, or its
-    # last position, a slot never kept
-    slot = np.full((n, n, n), first.size)
-    for order in permutations(cubic[first].T - 1):
-        slot[order] = np.arange(first.size)
     bits = _qubit_bits(n, x).astype(np.uint8)
     return _pack_rows(np.einsum("...i,...imk->...mk", bits, kept[..., slot]) & 1)
 
 
 #: largest n of random3_sampled_bounds that the CLI runs: its default 2000
-#: samples take ~1.2 s at n = 40 (O(n^3) array work each) on a 2-core Xeon
+#: samples take ~0.6 s at n = 40 (O(n^3) array work each) on a 2-core Xeon
 SAMPLED_RANK_QUBIT_CAP = 40
 
 #: edge flags (n^3 per matrix) gathered at once by random3_sampled_bounds

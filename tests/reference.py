@@ -3,8 +3,8 @@ needs: gates applied to amplitude arrays, a density matrix as the
 mixture of its eigenvectors, an MPS amplitude read by direct contraction,
 dense <-> packed F2 matrices and the dense F2 rank oracle, frame codes
 from Z/X/Y labels, the Pauli claims of a QWC partition, the all-complex
-Pauli expectation kernel, the per-shot DFE draw, a mixture's entries as
-one sum, and two closed forms the Haar and Dirichlet tests compare
+Pauli expectation kernel, the per-shot DFE and MPS draws, a mixture's
+entries as one sum, and two closed forms the Haar and Dirichlet tests compare
 against."""
 
 import math
@@ -134,6 +134,25 @@ def dfe_values_per_shot(sampler, shots: int, rng, expectations) -> np.ndarray:
         w = _weights(sampler, ax, az)
         return np.where(u >= (1.0 + expectations(ax, az)) / 2.0, -w, w)
     return _in_blocks(shots, block)
+
+
+def mps_draws_per_shot(sampler, rng, size: int):
+    """MPS l2 draws one at a time, site by site: the four candidate left
+    environments g^T l g, their marginals, and ``rng.choice`` among them.
+    The oracle that ``MPSL2Sampler.draw``, with its draws in lockstep,
+    must equal draw for draw."""
+    ax, az = np.zeros((2, size), dtype=np.int64)
+    for s in range(size):
+        lmat = sampler._l0
+        for i in range(sampler.n):
+            cands = np.array([g.T @ lmat @ g for g in sampler._g[i].reshape(
+                (4,) + lmat.shape)])
+            weights = np.maximum(sampler._marginals(cands, i + 1), 0.0)
+            j = int(rng.choice(4, p=weights / weights.sum()))
+            ax[s] = (ax[s] << 1) | (j >> 1)
+            az[s] = (az[s] << 1) | (j & 1)
+            lmat = cands[j]
+    return ax, az
 
 
 def mixture_entries_sum(rho: Mixture, rows, cols) -> np.ndarray:

@@ -3,10 +3,12 @@
 Every specialized sampler is checked against the exact enumeration law
 p(a) proportional to |c_a|^(2 alpha), both for the dense distribution()
 (total variation) and for its coefficients; every sampler's batch draw
-is checked against its own distribution().
+is checked against its own distribution(), and asks the generator as
+often for one draw as for a thousand.
 """
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ import pytest
 from fidest import samplers, states
 from fidest.errors import CapExceededError, NumericalHealthError
 from fidest.f2 import pauli_coefficients
+
+from reference import mps_draws_per_shot
 
 
 def exact_law(psi, alpha):
@@ -53,6 +57,58 @@ def test_batch_draw_follows_distribution(case):
         assert words.dtype == np.int64 and words.shape == (size,)
     emp = np.bincount((ax << s.n) | az, minlength=1 << (2 * s.n)) / size
     assert tv(emp, s.distribution()) < bound
+
+
+def tv_bound(law, draws, fail=1e-6):
+    """A total variation that the empirical law of `draws` iid draws from
+    `law` exceeds with probability below `fail`: the mean,
+    at most 1/2 sum_a sqrt(p(a) (1 - p(a)) / draws), plus McDiarmid's
+    sqrt(ln(1 / fail) / (2 draws)), as one draw moves it by 1/draws."""
+    return (0.5 * np.sum(np.sqrt(law * (1.0 - law) / draws))
+            + np.sqrt(np.log(1.0 / fail) / (2.0 * draws)))
+
+
+@pytest.mark.parametrize("make,draws", [
+    (lambda: samplers.DickeSampler(6, 3), 200000),
+    (lambda: samplers.MPSL2Sampler(
+        states.random_real_mps(4, 3, np.random.default_rng(17))), 100000)],
+    ids=["dicke-6-3", "mps-4-3"])
+def test_large_batch_draw_follows_distribution(make, draws):
+    s = make()
+    law = s.distribution()
+    ax, az = s.draw(np.random.default_rng(8), draws)
+    emp = np.bincount((ax << s.n) | az, minlength=law.size) / draws
+    assert tv(emp, law) < tv_bound(law, draws)
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to its methods."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("case", sorted(PROTOCOL_CASES))
+def test_draw_asks_the_generator_once_per_batch(case):
+    # no per-draw loop: a batch of 1,000 draws makes as many generator
+    # calls as a batch of one
+    s = PROTOCOL_CASES[case][0]()
+    calls = []
+    for size in (1, 1000):
+        rng = CountingGenerator(4)
+        ax, _ = s.draw(rng, size)
+        assert ax.shape == (size,)
+        calls.append(rng.calls)
+    assert calls[0] == calls[1] > 0
 
 
 class TestExactSampler:
@@ -197,3 +253,21 @@ class TestMPSL2Sampler:
         ax, az = s.draw(np.random.default_rng(16), 1)
         # probability of the drawn point should be positive
         assert s.point_probability(ax, az)[0] > 0
+
+    def test_batch_draw_equals_per_draw_loop(self):
+        # three blocks of lockstep draws give the per-draw loop's points
+        mps = states.random_real_mps(4, 4, np.random.default_rng(21))
+        s = samplers.MPSL2Sampler(mps)
+        got = s.draw(np.random.default_rng(22), 300)
+        want = mps_draws_per_shot(s, np.random.default_rng(22), 300)
+        assert np.array_equal(got, want)
+
+    def test_drift_warning(self):
+        mps = states.random_real_mps(6, 4, np.random.default_rng(18))
+        s = samplers.MPSL2Sampler(mps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s.draw(np.random.default_rng(19), 500)
+        s.DRIFT_TOL = -1.0  # every conditional now drifts too far
+        with pytest.warns(RuntimeWarning, match="MPS conditional drift"):
+            s.draw(np.random.default_rng(19), 5)
