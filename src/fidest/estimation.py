@@ -14,9 +14,9 @@ All three run on one batched shot engine:
    shot that does not grow with the number of distinct labels drawn:
    - DFE: +-1 with probabilities (1 +- <T_a>)/2, from the weight w(a)
      and P(+1) = (1 + <T_a>)/2 of every support point, formed once a call
-     (<T_a> read off the target's coefficient table when rho is the
-     target under depolarizing noise, else one Walsh-Hadamard transform
-     per support a_x); a shot is one guided search into the support, two
+     (<T_a> from the support's own coefficients when rho is the target
+     under depolarizing noise, else one Walsh-Hadamard transform per
+     support a_x); a shot is one guided search into the support, two
      gathers and one compare (``_dfe_values``);
    - FOFE: b' from its marginal law, then b1 given b', kept per branch as
      the pair (b', (-1)^b1) (``_fofe_outcomes``);
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -149,6 +150,23 @@ def _frame_expectations(rho, ax: np.ndarray, az: np.ndarray, n: int) -> np.ndarr
     return np.sum(laws * signs, axis=1)
 
 
+@dataclass(frozen=True, eq=False)
+class _TableExpectations:
+    """<T_a>_rho = scale c(a) + mixed [a = 0] as a function of word pairs
+    (ax, az), c read off the coefficient table ``coeffs``."""
+
+    coeffs: CoeffVector
+    scale: float
+    mixed: float
+
+    def __call__(self, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
+        return self.at(ax, az, self.coeffs.values[(ax << self.coeffs.n) | az])
+
+    def at(self, ax: np.ndarray, az: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """<T_a> from c = c(a) that the caller already holds."""
+        return self.scale * c + self.mixed * ((ax | az) == 0)
+
+
 def _table_expectations(rho, target: StateVector, coeffs: CoeffVector):
     """<T_a>_rho as a function of word pairs (ax, az), read off the
     target's own coefficient table when the target is the one pure member
@@ -157,10 +175,7 @@ def _table_expectations(rho, target: StateVector, coeffs: CoeffVector):
     weights, amps, mixed = rho.pure_ensemble()
     if weights.size != 1 or not np.array_equal(amps[0], target.amplitudes):
         return None
-    n = target.n
-    scale = weights[0] * (1 << n)
-    return lambda ax, az: (scale * coeffs.values[(ax << n) | az]
-                           + mixed * ((ax | az) == 0))
+    return _TableExpectations(coeffs, weights[0] * (1 << target.n), mixed)
 
 
 def _expectations(rho, target: StateVector, coeffs: CoeffVector):
@@ -176,12 +191,18 @@ def _dfe_values(sampler, shots: int, rng: np.random.Generator,
     POVM {(I + T_a)/2, (I - T_a)/2}: +w(a) with probability
     (1 + <T_a>)/2, else -w(a); expectations(ax, az) gives <T_a>.  w and
     (1 + <T_a>)/2 are formed once a call over the sampler's support, w
-    from the support's own coefficients and <T_a> with one expectations
-    call, so a shot is one guided search (the support position k), two
-    gathers and one compare."""
+    from the support's own coefficients, and <T_a> from them too when
+    expectations reads the sampler's own table, else with one
+    expectations call; so a shot is one guided search (the support
+    position k), two gathers and one compare."""
     ax, az, c = sampler.support()
     w = _weights(sampler, ax, az, c)
-    plus = (1.0 + expectations(ax, az)) / 2.0
+    if (isinstance(expectations, _TableExpectations)
+            and expectations.coeffs is sampler.coeffs):
+        t = expectations.at(ax, az, c)
+    else:
+        t = expectations(ax, az)
+    plus = (1.0 + t) / 2.0
     del ax, az
 
     def block(count: int) -> np.ndarray:
@@ -427,6 +448,26 @@ def _first_frame_table(position: np.ndarray, n: int) -> np.ndarray:
     return table.reshape(-1)
 
 
+@lru_cache(maxsize=None)
+def _canonical_frames(n: int):
+    """The tables of a QWC build that depend on n alone, formed once per n,
+    shared and read-only: the codes of every frame in canonical order
+    (frame k's codes are the base-3 digits of k, qubit 1 first), the
+    pattern of every Pauli (``_first_frame_table``'s base-4 digits) by its
+    flat index (ax << n) | az, and the canonical first-frame table."""
+    codes = (np.arange(3**n, dtype=np.int64)[:, None]
+             // 3 ** np.arange(n - 1, -1, -1, dtype=np.int64) % 3)
+    flat = np.arange(4**n, dtype=np.int64)
+    pattern = np.zeros_like(flat)
+    for shift in range(n - 1, -1, -1):
+        xz = (((flat >> (n + shift)) & 1) << 1) | ((flat >> shift) & 1)
+        pattern = 4 * pattern + np.array([3, 0, 1, 2])[xz]
+    first = _first_frame_table(np.arange(3**n), n)
+    for table in (codes, pattern, first):
+        table.flags.writeable = False
+    return codes, pattern, first
+
+
 def build_qwc_partition(coeffs: CoeffVector,
                         ordering: str = "canonical") -> QWCPartition:
     """Partition the nonzero Pauli coefficients into qubit-wise-commuting
@@ -440,36 +481,30 @@ def build_qwc_partition(coeffs: CoeffVector,
     if n > QWC_QUBIT_CAP:
         raise CapExceededError(
             f"QWC partition needs 3^n 2^n work; capped at n <= {QWC_QUBIT_CAP}")
-    # frame k's codes are the base-3 digits of k, qubit 1 first
-    codes = (np.arange(3**n, dtype=np.int64)[:, None]
-             // 3 ** np.arange(n - 1, -1, -1, dtype=np.int64) % 3)
+    codes, pattern, first_table = _canonical_frames(n)
     values = coeffs.values
     if ordering == "greedy-weight":
         mx, mz = _frame_masks(codes, n)
         order = np.argsort(-np.abs(values[(mx << n) | mz]), kind="stable")
-    elif ordering == "canonical":
-        order = np.arange(codes.shape[0])
-    else:
+        position = np.empty_like(order)
+        position[order] = np.arange(order.size)
+        first_table = _first_frame_table(position, n)
+        codes = codes[order]
+    elif ordering != "canonical":
         raise ConfigError(f"unknown ordering {ordering!r}")
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
     paulis = np.flatnonzero(np.abs(values) > QWC_TOL)
-    ax, az = paulis >> n, paulis & ((1 << n) - 1)
-    pattern = np.zeros_like(paulis)
-    for shift in range(n - 1, -1, -1):
-        xz = (((ax >> shift) & 1) << 1) | ((az >> shift) & 1)
-        pattern = 4 * pattern + np.array([3, 0, 1, 2])[xz]
-    first = _first_frame_table(position, n)[pattern]
-    taken, gid = np.unique(first, return_inverse=True)
+    taken, gid = np.unique(first_table[pattern[paulis]], return_inverse=True)
     groups = np.zeros(taken.size, dtype=[("frame", np.int64, (n,)),
                                          ("chat", float, (1 << n,)),
                                          ("weight", float)]).view(np.recarray)
-    groups.frame = codes[order[taken]]
-    chat = groups.chat  # c^(S) until transformed, row by row
-    chat[gid.reshape(-1), ax | az] = values[paulis]
-    for rows in range(0, taken.size, 64):  # small blocks keep temporaries small
-        chat[rows:rows + 64] = fwht(chat[rows:rows + 64])
-    groups.weight = np.maximum(chat.max(axis=1), -chat.min(axis=1))
+    groups.frame = codes[taken]
+    chat = groups.chat  # c^(S) until transformed, block by block
+    s = (paulis >> n) | (paulis & ((1 << n) - 1))  # s = ax | az
+    chat[gid.reshape(-1), s] = values[paulis]
+    for rows in row_chunks(taken.size, 8 << n):
+        block = fwht(chat[rows])
+        chat[rows] = block
+        groups.weight[rows] = np.abs(block).max(axis=1)
     # one group after another: a pairwise sum moves W's last digits
     total = float(sum(groups.weight.tolist()))
     return QWCPartition(n=n, groups=groups, total_weight=total,
@@ -490,9 +525,10 @@ def _group_outcomes(codes: np.ndarray, expectations):
     """outcomes(which, u): one computational outcome per shot j after
     rotating rho into the frame codes[which[j]] (rows as
     ``states.frame_codes``), by inverse CDF at u[j].  A frame's law
-    (``_group_laws``) is formed the first time it is drawn, 64 new frames
-    at a time, and kept as a row of a guided CDF table for later calls:
-    a shot costs one guided search, and frames never drawn cost nothing.
+    (``_group_laws``) is formed the first time it is drawn, the new frames
+    in blocks of about CHUNK_BYTES of law, and kept as a row of a guided
+    CDF table for later calls: a shot costs one guided search, and frames
+    never drawn cost nothing.
     The law is rho's own, so a mixed state's member is marginalised out."""
     n = codes.shape[1]
     mx, mz = _frame_masks(codes, n)
@@ -502,8 +538,8 @@ def _group_outcomes(codes: np.ndarray, expectations):
     def outcomes(which: np.ndarray, u: np.ndarray) -> np.ndarray:
         new = np.flatnonzero(np.bincount(which[~formed[which]],
                                          minlength=formed.size))
-        for lo in range(0, new.size, 64):
-            rows = new[lo:lo + 64]
+        for block in row_chunks(new.size, 8 << n):
+            rows = new[block]
             law = _group_laws(expectations, mx[rows], mz[rows], n)
             cum = np.cumsum(np.clip(law, 0.0, None), axis=1)
             laws.fill(rows, cum / cum[:, -1:])

@@ -1,5 +1,5 @@
 """Binary-symplectic Pauli algebra, the batched F2 rank of packed-row
-matrices, and the fast Walsh-Hadamard transform.
+matrices, and the Walsh-Hadamard transform.
 
 Conventions
 -----------
@@ -28,6 +28,13 @@ Walsh-Hadamard transform per XOR-diagonal row.  A real-amplitude state's
 ``entries`` are float64, so its rows take a real transform; complex rows
 take the complex one.  Both give the same values.
 
+Every Walsh-Hadamard transform (coefficient tables, a QWC partition's
+``chat``, NLDFE's group laws, the Bell sampler) is :func:`fwht`: each row
+of 2^n entries, viewed as a 2^(n//2) x 2^(n - n//2) matrix X, becomes
+H X H' with cached +-1 Sylvester matrices H and H', two small BLAS
+matrix products per block of rows in O(2^n (2^(n//2) + 2^(n - n//2)))
+work per row.
+
 Every F2 rank (``magic``'s derivative matrices, ``tomography``'s MUB
 generators) comes from :func:`f2_rank`, one batched elimination over
 packed uint64 rows of up to 64 columns.
@@ -36,6 +43,7 @@ packed uint64 rows of up to 64 columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,8 +185,9 @@ class CoeffVector:
 
 
 def pauli_coefficients(psi) -> CoeffVector:
-    """All 4^n Pauli coefficients c(a) = 2^-n <T_a> of a state (total cost
-    O(n 8^n)), capped at n <= COEFF_CAP."""
+    """All 4^n Pauli coefficients c(a) = 2^-n <T_a> of a state (2^n
+    transforms of 2^n entries, O(4^n 2^(n/2)) in all), capped at
+    n <= COEFF_CAP."""
     n = psi.n
     if n > COEFF_CAP:
         raise CapExceededError(
@@ -189,42 +198,66 @@ def pauli_coefficients(psi) -> CoeffVector:
 
 
 # ---------------------------------------------------------------------------
-# Fast Walsh-Hadamard transform
+# Walsh-Hadamard transform
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis,
     ``out[..., b] = sum_a v[..., a] (-1)^(a.b)`` with no normalization
-    (so fwht(fwht(v)) = len(v) v), over a C-ordered copy of v; O(n 2^n)
-    per row."""
-    a = np.array(v, copy=True, order="C")
+    (so fwht(fwht(v)) = len(v) v), over a C-ordered float64 (or
+    complex128) copy of v; two small matrix products per row
+    (``_fwht_stages``)."""
+    a = np.array(v, dtype=complex if np.iscomplexobj(v) else float, order="C")
     _fwht_stages(a)
     return a
 
 
+@lru_cache(maxsize=None)
+def _sylvester(k: int, inner: int = 1) -> np.ndarray:
+    """H_(2^k) (x) I_inner, H_(2^k)[a, b] = (-1)^(a.b) the +-1 Sylvester
+    matrix; cached and read-only."""
+    idx = np.arange(1 << k, dtype=np.uint64)
+    h = 1.0 - 2.0 * (popcount_array(idx[:, None] & idx) & 1)
+    h = np.kron(h, np.eye(inner))
+    h.flags.writeable = False
+    return h
+
+
+#: the most multiply-adds in one matrix product of the transform (a single
+#: row may exceed it): its operands stay in cache, and OpenBLAS runs a
+#: product this small on one thread, with no hand-off to a second one (which
+#: stalled for milliseconds when the other core was busy)
+FWHT_PRODUCT = 1 << 18
+
+
 def _fwht_stages(a: np.ndarray) -> None:
-    """The transform of ``fwht``, in place on a C-contiguous array (the
-    stages write through reshaped views)."""
+    """The transform of ``fwht``, in place on a C-contiguous float64 or
+    complex128 array, by the Kronecker factoring H_(2^n) = H_(2^hi) (x)
+    H_(2^lo), hi = n // 2: each row, viewed as a 2^hi x 2^lo matrix X,
+    becomes H_hi X H_lo.  A block of rows takes one matrix product for the
+    X H_lo of all its rows, into one scratch block, and one batched
+    product for H_hi (X H_lo), written back through ``out=``; a block's
+    first product takes at most FWHT_PRODUCT multiply-adds (or one row).
+    A complex row is its real and imaginary parts side by side,
+    transformed by H_lo (x) I_2.  The products only add and subtract
+    entries, so entries that are multiples of 2^-m, with sums in float
+    range, transform exactly, as in any order; other rows agree with a
+    butterfly to rounding."""
     size = a.shape[-1] if a.shape else 0
     if size & (size - 1) or size == 0:
         raise DimensionError(f"length {size} is not a power of two")
-    h = 1
-    while h < size:
-        if 4 * h <= size:
-            # two radix-2 stages fused: half the passes over the data, and
-            # the same sums in the same order
-            x = a.reshape(-1, 4, h)
-            s0, d0 = x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]
-            s1, d1 = x[:, 2] + x[:, 3], x[:, 2] - x[:, 3]
-            x[:, 0], x[:, 1] = s0 + s1, d0 + d1
-            x[:, 2], x[:, 3] = s0 - s1, d0 - d1
-            h *= 4
-        else:
-            x = a.reshape(-1, 2, h)
-            top = x[:, 0].copy()
-            x[:, 0] = top + x[:, 1]
-            x[:, 1] = top - x[:, 1]
-            h *= 2
+    n = size.bit_length() - 1
+    hi, lo = n // 2, n - n // 2
+    inner = 2 if a.dtype.kind == "c" else 1
+    rows = a.reshape(-1, size).view(np.float64)
+    h_hi, h_lo = _sylvester(hi), _sylvester(lo, inner)
+    step = max(1, (FWHT_PRODUCT // h_lo.size) >> hi)
+    scratch = np.empty((min(step, rows.shape[0]) << hi, h_lo.shape[0]))
+    for start in range(0, rows.shape[0], step):
+        x = rows[start:start + step].reshape(-1, 1 << hi, h_lo.shape[0])
+        s = scratch[:x.shape[0] << hi]
+        np.matmul(x.reshape(s.shape), h_lo, out=s)
+        np.matmul(h_hi, s.reshape(x.shape), out=x)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ class ExactSampler:
     def __init__(self, coeffs: CoeffVector, alpha: float):
         self.n = coeffs.n
         self.alpha = float(alpha)
-        self._coeffs = coeffs
+        self.coeffs = coeffs
         self._support = np.nonzero(np.abs(coeffs.values) > COEFF_TOL)[0]
         if self._support.size == 0:
             raise NumericalHealthError("all coefficients are zero")
@@ -137,7 +137,7 @@ class ExactSampler:
         return labels >> self.n, labels & ((1 << self.n) - 1)
 
     def coefficients(self, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
-        return self._coeffs.values[(ax << self.n) | az]
+        return self.coeffs.values[(ax << self.n) | az]
 
     def distribution(self) -> np.ndarray:
         out = np.zeros(1 << (2 * self.n))

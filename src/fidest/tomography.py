@@ -145,8 +145,10 @@ def mub_family(n: int) -> MUBFamily:
     for ax, az in classes:
         if symplectic_product(ax[:, None], az[:, None], ax, az).any():
             raise NumericalHealthError("MUB class fails to commute")
+    # every nonzero label exactly once, and the identity never
     flat = np.concatenate([ax << n | az for ax, az in classes])
-    if np.unique(flat).size != (1 << (2 * n)) - 1:
+    if not np.array_equal(np.bincount(flat, minlength=4**n),
+                          np.arange(4**n) > 0):
         raise NumericalHealthError("MUB classes do not partition the Paulis")
     bases = []
     for j, cls in enumerate(classes):

@@ -1,7 +1,8 @@
 """Test-input builders and reference formulas that `fidest` itself never
-needs: gates applied to amplitude arrays, a density matrix as the
-mixture of its eigenvectors, an MPS amplitude read by direct contraction,
-dense <-> packed F2 matrices and the dense F2 rank oracle, frame codes
+needs: the butterfly Walsh-Hadamard transform, gates applied to amplitude
+arrays, a density matrix as the mixture of its eigenvectors, an MPS
+amplitude read by direct contraction, dense <-> packed F2 matrices and
+the dense F2 rank oracle, frame codes
 from Z/X/Y labels, the Pauli claims of a QWC partition, the all-complex
 Pauli expectation kernel, the per-shot DFE and MPS draws, a mixture's
 entries as one sum, and two closed forms the Haar and Dirichlet tests compare
@@ -15,6 +16,30 @@ from fidest.errors import NumericalHealthError
 from fidest.estimation import QWC_TOL, _in_blocks, _weights
 from fidest.f2 import CHUNK_BYTES, fwht, pauli_phase, xor_diagonals
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
+
+
+def fwht_butterfly(v) -> np.ndarray:
+    """The Walsh-Hadamard transform along the last axis by radix-2
+    butterflies over a C-ordered copy of v, two stages fused per pass
+    where they fit: the oracle that ``f2.fwht``'s matrix products must
+    match."""
+    a = np.array(v, copy=True, order="C")
+    size, h = a.shape[-1], 1
+    while h < size:
+        if 4 * h <= size:
+            x = a.reshape(-1, 4, h)
+            s0, d0 = x[:, 0] + x[:, 1], x[:, 0] - x[:, 1]
+            s1, d1 = x[:, 2] + x[:, 3], x[:, 2] - x[:, 3]
+            x[:, 0], x[:, 1] = s0 + s1, d0 + d1
+            x[:, 2], x[:, 3] = s0 - s1, d0 - d1
+            h *= 4
+        else:
+            x = a.reshape(-1, 2, h)
+            top = x[:, 0].copy()
+            x[:, 0] = top + x[:, 1]
+            x[:, 1] = top - x[:, 1]
+            h *= 2
+    return a
 
 
 def apply_phase(phi: PhaseFunction, psi: StateVector) -> StateVector:

@@ -202,15 +202,47 @@ class TestExitCodes:
         assert out
 
 
+def _child_env(**extra):
+    """os.environ plus `extra`, with this checkout's package importable."""
+    src = os.path.dirname(os.path.dirname(fidest.__file__))
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_cli_import_loads_no_scipy():
     # scipy costs ~0.25 s of every fidest process; no command needs it.
-    src = os.path.dirname(os.path.dirname(fidest.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     probe = "import sys, fidest.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
+    out = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stdout
     assert out.strip() == "False"
+
+
+def test_tomography_command_loads_no_numpy_ma():
+    # importing numpy.ma costs 11-19 ms of a fresh process, and np.unique
+    # without return_inverse imports it (numpy 2.4), so the tomography
+    # path must not call it
+    probe = ("import sys; from fidest.cli import main; "
+             "code = main(['tomography', '--n', '2', '--deterministic']); "
+             "sys.stderr.write(f'{code} {\"numpy.ma\" in sys.modules}')")
+    err = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                         check=True, capture_output=True, text=True,
+                         timeout=120).stderr
+    assert err.split()[-2:] == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("nldfe-compare", "--samples", "2", "--shots", "50"),
+    ("fig2a", "--n", "10", "--shots", "20")])
+def test_output_independent_of_blas_threads(argv):
+    # every Walsh-Hadamard transform runs on BLAS matrix products; a
+    # product's sums must not depend on how many threads share it
+    outs = [subprocess.run(
+        [sys.executable, "-c", "import sys; from fidest.cli import main; "
+         "sys.exit(main())", *argv, "--deterministic"],
+        env=_child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+        capture_output=True, timeout=300).stdout for threads in ("1", "2")]
+    assert outs[0] and outs[0] == outs[1]
 
 
 class TestDeterminism:

@@ -203,6 +203,24 @@ class TestQWCPartition:
             estimation.build_qwc_partition(c, ordering="best")
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_canonical_frame_tables_cached_read_only(n):
+    # the tables that depend on n alone are formed once and shared by
+    # every build, so no build (canonical or greedy-weight) may write them
+    codes, pattern, first = estimation._canonical_frames(n)
+    assert estimation._canonical_frames(n)[0] is codes
+    for table in (codes, pattern, first):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    before = [table.copy() for table in (codes, pattern, first)]
+    c = pauli_coefficients(states.haar_random(n, np.random.default_rng(n)))
+    for ordering in ("greedy-weight", "canonical"):
+        estimation.build_qwc_partition(c, ordering)
+    for table, old in zip((codes, pattern, first), before):
+        assert np.array_equal(table, old)
+
+
 class TestNLDFE:
     def test_expected_value_is_fidelity(self):
         rng = np.random.default_rng(14)
