@@ -90,9 +90,14 @@ def _make_report(scheme, values, mom_batches, exact, bound) -> EstimateReport:
 
 def _in_blocks(shots: int, block) -> np.ndarray:
     """block(count) over consecutive blocks of at most BLOCK_SHOTS shots,
-    joined along the last axis."""
-    return np.concatenate([block(min(BLOCK_SHOTS, shots - start))
-                           for start in range(0, shots, BLOCK_SHOTS)], axis=-1)
+    each written in place along the last axis of one (..., shots) array."""
+    out = None
+    for start in range(0, shots, BLOCK_SHOTS):
+        values = block(min(BLOCK_SHOTS, shots - start))
+        if out is None:
+            out = np.empty(values.shape[:-1] + (shots,), dtype=values.dtype)
+        out[..., start:start + values.shape[-1]] = values
+    return out
 
 
 def _parity_signs(words: np.ndarray) -> np.ndarray:
@@ -299,11 +304,11 @@ def _fofe_outcomes(rho, diag: np.ndarray):
     (one term exactly 0) for e = rho[b', b' ^ ax] and i^m = i^|ax & az|
     (-1)^(az.(b' ^ ax)) on the real branch, i^(m-1) on the imaginary one."""
     d = np.clip(diag, 0.0, None)
-    cum = np.cumsum(d)
-    computational = CdfTable(cum)
+    computational = CdfTable(np.cumsum(d))
+    total = computational.total[0]
 
     def outcomes(ax, az, branch: str, u: np.ndarray):
-        y = computational.search(u[0] * cum[-1])
+        y = computational.search(u[0] * total)
         b = y ^ (ax & -(u[1] >= 0.5).astype(ax.dtype))  # y ^ ax half the time
         flip = b ^ ax
         m = (popcount_array(ax & az) + 2 * popcount_array(az & flip)

@@ -13,7 +13,11 @@ Every sampler has one protocol:
 The samplers that know c(a) (Exact, UniformX, Dicke) also give
 coefficients(ax, az), the c(a) of each word pair; ExactSampler also gives
 support(), the (ax, az, c) of its support, and draw_index(rng, size),
-positions into it.  Every draw is one batch through CdfTable.
+positions into it.  Every draw is one batch: the MPS sampler counts, site
+by site, the cumulative conditionals at or below each draw's uniform, and
+every other sampler searches a CdfTable.  A CdfTable holds +inf for the
+last sum of each row, so ``ExactSampler.distribution()`` reads its true
+total from the table's ``total``.
 """
 
 from __future__ import annotations
@@ -34,72 +38,98 @@ BELL_TOTAL_QUBIT_CAP = 24
 DICKE_QUBIT_CAP = 63
 
 
+#: guide buckets per table entry: a value's start lies a mean of about
+#: 1 / BUCKETS_PER_ENTRY sums below its answer
+BUCKETS_PER_ENTRY = 2
+
+
 def _guides(cum: np.ndarray):
-    """Scale size / row[-1] and guide of each row of cum, in O(size) per
-    row: guide[k] counts the sums s of the row with s * scale <= k (as
-    rounded), from a bincount of min(ceil(s * scale), size)."""
+    """Scale buckets / total and guide of each row of cum, the total being
+    the row's last sum, in O(size) per row: guide[j] for j = 0 .. buckets
+    counts the sums s before the last with s * scale < j (as rounded),
+    from a bincount of floor(s * scale) + 1, at most buckets + 1."""
     count, size = cum.shape
-    scale = size / cum[:, -1]
-    edge = cum * scale[:, None]
-    np.ceil(edge, out=edge)
-    edge = np.minimum(edge, size, out=edge).astype(np.int64)
-    edge += (size + 1) * np.arange(count)[:, None]
-    counts = np.bincount(edge.reshape(-1), minlength=count * (size + 1))
+    width = BUCKETS_PER_ENTRY * size + 1
+    scale = (width - 1) / cum[:, -1]
+    edge = (cum[:, :-1] * scale[:, None]).astype(np.int64)  # the floor
+    edge += 1
+    edge += (width + 1) * np.arange(count)[:, None]
+    counts = np.bincount(edge.reshape(-1), minlength=count * (width + 1))
     del edge  # the table can be large: keep one temporary at a time
-    guide = counts.reshape(count, size + 1)[:, :size]
+    guide = counts.reshape(count, width + 1)[:, :width]
     np.cumsum(guide, axis=1, out=guide)
-    return scale, guide.astype(np.min_scalar_type(size))
+    return scale, guide.astype(np.min_scalar_type(size - 1))
+
+
+def _step_up(cum: np.ndarray, pos: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Step each start pos up past the sums cum[pos] <= v, in place: the
+    +inf last sum of a row stops every value there."""
+    step = np.flatnonzero(cum[pos] <= v)
+    while step.size:
+        pos[step] += 1
+        step = step[cum[pos[step]] <= v[step]]
+    return pos
 
 
 class CdfTable:
     """Inverse CDF over rows of ascending nonnegative cumulative sums, each
     `size` long: search(v, rows) is min(searchsorted(cum[rows[j]], v[j],
-    side="right"), size - 1) for each value j, in O(1) expected steps per
-    value.  A 1-D cum is a table of one row, searched with rows = 0.
+    side="right"), size - 1) for each value j with 0 <= v[j] < total
+    (1 + 1 / buckets), the total being the row's last sum, in O(1)
+    expected steps per value.  A 1-D cum is a table of one row, searched
+    with rows = 0 and no row offsets.
 
-    With scale = size / row[-1], a row's guide holds, for each bucket
-    k = 0 .. size - 1, the number of its sums s with s * scale <= k, and
-    v starts from the guide of bucket ceil(v * scale) - 1.  Rounding
-    x * scale is monotone in x, so each sum counted there has
-    s * scale < v * scale as rounded, hence s < v: the start is never
-    above v's answer, and each value steps up to its own answer.
+    Each row has buckets = BUCKETS_PER_ENTRY * size buckets and
+    scale = buckets / total.  Its guide is shifted by one bucket: for
+    j = 0 .. buckets it holds the number of the sums before the last with
+    s * scale < j, so a value v starts from guide[trunc(v * scale)] with
+    no -1 and no clip, as v * scale truncates to at most buckets.  The
+    start never passes v's answer: rounding x * scale is monotone in x,
+    so each sum counted there has s * scale < v * scale as rounded, hence
+    s < v; and the last sum is never counted, which caps the start at
+    size - 1.  Each value then steps up to its own answer.
+
+    The table holds its own copy of the sums, with each row's last sum
+    set to +inf: no step tests for the row's end, and a value at or above
+    the total stops at size - 1.  ``total`` keeps the true last sums.
     Guides are row-relative, in the smallest unsigned type that holds
-    `size`.  ``empty(count, size)`` makes a table whose rows ``fill``
+    size - 1.  ``empty(count, size)`` makes a table whose rows ``fill``
     writes when they are first needed: rows never filled are never
     written, and never searched."""
 
     def __init__(self, cum: np.ndarray):
+        cum = np.array(cum, dtype=float)  # a copy: its last sums become +inf
         self.cum = cum.reshape(-1, cum.shape[-1])
         self.scale, self.guide = _guides(self.cum)
+        self.total = self.cum[:, -1].copy()
+        self.cum[:, -1] = np.inf
 
     @classmethod
     def empty(cls, count: int, size: int) -> "CdfTable":
         table = cls.__new__(cls)
         table.cum = np.empty((count, size))
+        table.total = np.empty(count)
         table.scale = np.empty(count)
-        table.guide = np.empty((count, size), dtype=np.min_scalar_type(size))
+        table.guide = np.empty((count, BUCKETS_PER_ENTRY * size + 1),
+                               dtype=np.min_scalar_type(size - 1))
         return table
 
     def fill(self, rows: np.ndarray, cum: np.ndarray) -> None:
         """Set the given rows to cum, one row each, with their guides."""
-        self.cum[rows] = cum
+        self.total[rows] = cum[:, -1]
         self.scale[rows], self.guide[rows] = _guides(cum)
+        self.cum[rows] = cum
+        self.cum[rows, -1] = np.inf
 
     def search(self, v: np.ndarray, rows=0) -> np.ndarray:
-        size = self.cum.shape[1]
-        first = rows * size  # flat offset of each value's row
-        bucket = np.ceil(v * self.scale[rows]).astype(np.int64)
-        bucket -= 1
-        np.clip(bucket, 0, size - 1, out=bucket)
-        bucket += first
-        pos = self.guide.reshape(-1)[bucket].astype(np.int64)
-        pos += first
-        cum = self.cum.reshape(-1)
-        end = np.broadcast_to(first + size - 1, pos.shape)
-        step = np.flatnonzero((pos < end) & (cum[pos] <= v))
-        while step.size:
-            pos[step] += 1
-            step = step[(pos[step] < end[step]) & (cum[pos[step]] <= v[step])]
+        if self.cum.shape[0] == 1:
+            pos = self.guide[0][(v * self.scale[0]).astype(np.int64)]
+            return _step_up(self.cum[0], pos.astype(np.int64), v)
+        bucket = (v * self.scale[rows]).astype(np.int64)
+        bucket += rows * self.guide.shape[1]
+        first = rows * self.cum.shape[1]  # flat offset of each value's row
+        pos = np.add(self.guide.reshape(-1)[bucket], first, dtype=np.int64)
+        pos = _step_up(self.cum.reshape(-1), pos, v)
         pos -= first
         return pos
 
@@ -120,8 +150,7 @@ class ExactSampler:
         self._support_c = coeffs.values[self._support]
         weights = np.abs(self._support_c) ** (2.0 * self.alpha)
         self.norm_sum = float(weights.sum())
-        self._cum = np.cumsum(weights / self.norm_sum)
-        self._table = CdfTable(self._cum)
+        self._table = CdfTable(np.cumsum(weights / self.norm_sum))
 
     def support(self):
         """(ax, az, c) of every support point, in ``draw_index`` order."""
@@ -141,8 +170,9 @@ class ExactSampler:
 
     def distribution(self) -> np.ndarray:
         out = np.zeros(1 << (2 * self.n))
-        probs = np.diff(self._cum, prepend=0.0)
-        out[self._support] = probs
+        cum = self._table.cum[0].copy()
+        cum[-1] = self._table.total[0]  # the table holds +inf there
+        out[self._support] = np.diff(cum, prepend=0.0)
         return out
 
 
@@ -351,9 +381,11 @@ class MPSL2Sampler:
 
     def draw(self, rng: np.random.Generator, size: int):
         """Site by site, each draw's letter j = 2 bx + bz from the four
-        conditionals P(a_1..a_k) / P(a_1..a_(k-1)), one CdfTable row per
-        draw.  A drawn prefix's left environment is the outer square of
-        the row vector (L (x) L) g_1 ... g_k: a draw carries that vector."""
+        conditionals P(a_1..a_k) / P(a_1..a_(k-1)): the number of its
+        first three cumulative conditionals at or below its uniform, which
+        is min(searchsorted(cum, u, "right"), 3).  A drawn prefix's left
+        environment is the outer square of the row vector
+        (L (x) L) g_1 ... g_k: a draw carries that vector."""
         chi2 = self.chi ** 2
         # site i's four operators side by side, in letter order
         g = self._g.reshape(self.n, 4, chi2, chi2).transpose(0, 2, 1, 3)
@@ -376,7 +408,7 @@ class MPSL2Sampler:
                                   f"at site {i + 1}", RuntimeWarning)
                 cum = np.cumsum(weights / total[:, None], axis=1)
                 cum /= cum[:, -1:]
-                j = CdfTable(cum).search(u[sl, i], rows)
+                j = (cum[:, :3] <= u[sl, i, None]).sum(axis=1)
                 ax[sl] = (ax[sl] << 1) | (j >> 1)
                 az[sl] = (az[sl] << 1) | (j & 1)
                 vec = cands[rows, j]

@@ -4,7 +4,8 @@ arrays, a density matrix as the mixture of its eigenvectors, an MPS
 amplitude read by direct contraction, dense <-> packed F2 matrices and
 the dense F2 rank oracle, frame codes
 from Z/X/Y labels, the Pauli claims of a QWC partition, the all-complex
-Pauli expectation kernel, the per-shot DFE and MPS draws, a mixture's
+Pauli expectation kernel, the inverse CDF by binary search, the exact
+sampler's and the per-shot DFE and MPS draws, a mixture's
 entries as one sum, and two closed forms the Haar and Dirichlet tests compare
 against."""
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from fidest.errors import NumericalHealthError
 from fidest.estimation import QWC_TOL, _in_blocks, _weights
-from fidest.f2 import CHUNK_BYTES, fwht, pauli_phase, xor_diagonals
+from fidest.f2 import CHUNK_BYTES, COEFF_TOL, fwht, pauli_phase, xor_diagonals
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
 
@@ -161,11 +162,31 @@ def dfe_values_per_shot(sampler, shots: int, rng, expectations) -> np.ndarray:
     return _in_blocks(shots, block)
 
 
+def inverse_cdf(cum, v) -> np.ndarray:
+    """min(searchsorted(cum, v, side="right"), cum.size - 1): the position
+    ``samplers.CdfTable.search`` must return for each value v, by binary
+    search of the 1-D ascending sums cum."""
+    return np.minimum(np.searchsorted(cum, v, side="right"), len(cum) - 1)
+
+
+def exact_draws(coeffs, alpha: float, rng, size: int) -> np.ndarray:
+    """Support positions of `size` draws from the l_2a law of coeffs: the
+    support |c| > COEFF_TOL in flat-index order, its cumulative law as
+    ``ExactSampler`` forms it, and ``inverse_cdf`` at `size` uniforms.
+    The oracle that ``ExactSampler.draw_index`` must equal draw for draw."""
+    c = coeffs.values[np.abs(coeffs.values) > COEFF_TOL]
+    weights = np.abs(c) ** (2.0 * alpha)
+    return inverse_cdf(np.cumsum(weights / weights.sum()), rng.random(size))
+
+
 def mps_draws_per_shot(sampler, rng, size: int):
     """MPS l2 draws one at a time, site by site: the four candidate left
-    environments g^T l g, their marginals, and ``rng.choice`` among them.
-    The oracle that ``MPSL2Sampler.draw``, with its draws in lockstep,
-    must equal draw for draw."""
+    environments g^T l g, their marginals, and ``inverse_cdf`` of their
+    normalised cumulative law at the draw's uniform for that site, the
+    uniforms drawn draw by draw as ``rng.choice`` would.  The oracle that
+    ``MPSL2Sampler.draw``, with its draws in lockstep, must equal draw for
+    draw."""
+    u = rng.random((size, sampler.n))
     ax, az = np.zeros((2, size), dtype=np.int64)
     for s in range(size):
         lmat = sampler._l0
@@ -173,7 +194,8 @@ def mps_draws_per_shot(sampler, rng, size: int):
             cands = np.array([g.T @ lmat @ g for g in sampler._g[i].reshape(
                 (4,) + lmat.shape)])
             weights = np.maximum(sampler._marginals(cands, i + 1), 0.0)
-            j = int(rng.choice(4, p=weights / weights.sum()))
+            cum = np.cumsum(weights / weights.sum())
+            j = int(inverse_cdf(cum / cum[-1], u[s, i]))
             ax[s] = (ax[s] << 1) | (j >> 1)
             az[s] = (az[s] << 1) | (j & 1)
             lmat = cands[j]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fidest import cli, estimation, samplers, states
 from fidest.errors import ConfigError
 from fidest.f2 import COEFF_TOL, fwht, pauli_coefficients
-from reference import (dfe_values_per_shot, label_codes, partition_claims,
-                       spectral_mixture)
+from reference import (dfe_values_per_shot, inverse_cdf, label_codes,
+                       partition_claims, spectral_mixture)
 
 
 def random_pure_pair(n, rng):
@@ -612,6 +612,87 @@ class TestOutcomeSamplers:
             for r in range(count):
                 assert np.array_equal(samplers.CdfTable(cum[r]).search(v[rows == r]),
                                       want[rows == r])
+
+    @staticmethod
+    def edge_values(cum, rng):
+        """0, every sum and the double below it, the total and the double
+        above it, the largest uniform times the total, and uniforms."""
+        total = cum[-1]
+        return np.concatenate([[0.0, total, np.nextafter(total, np.inf),
+                                np.nextafter(1.0, 0.0) * total],
+                               cum, np.nextafter(cum, 0),
+                               rng.random(4096) * total])
+
+    @staticmethod
+    def zero_runs(size, rng):
+        """Weights with a leading, a tied (mid-row) and a trailing run of
+        zeros, and about a third of the rest zero too.  A value at a tied
+        sum steps past the whole run, so runs stay short."""
+        w = rng.random(size) ** 3 * (rng.random(size) < 0.7)
+        run = min(max(1, size // 50), 40)
+        w[:run] = 0.0
+        w[size // 2:size // 2 + run] = 0.0
+        w[size - run:] = 0.0
+        w[run if size > 2 * run else 0] = 1.0
+        return w
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 255, 256, 257, 1024, 65537,
+                                      133_114, 1 << 17])
+    def test_cdf_table_large_row_matches_searchsorted(self, size):
+        rng = np.random.default_rng(62 + size)
+        w = self.zero_runs(size, rng)
+        # a law normalised as the samplers form it (its total may miss 1
+        # by an ulp), and one with an unnormalised total
+        for cum in (np.cumsum(w / w.sum()), np.cumsum(w) * 37.5):
+            v = self.edge_values(cum, rng)
+            got = samplers.CdfTable(cum).search(v)
+            assert np.array_equal(got, inverse_cdf(cum, v))
+
+    @pytest.mark.parametrize("size", [1, 2, 256, 257, 4099, 1 << 17])
+    def test_cdf_table_filled_rows_match_searchsorted(self, size):
+        rng = np.random.default_rng(63 + size)
+        count = 3
+        cum = np.array([np.cumsum(self.zero_runs(size, rng)) for _ in range(count)])
+        cum[1] /= cum[1, -1]
+        table = samplers.CdfTable.empty(count + 2, size)
+        slot = np.array([4, 0, 2])  # rows 1 and 3 are never filled
+        table.fill(slot[:2], cum[:2])
+        table.fill(slot[2:], cum[2:])  # a later fill leaves earlier rows
+        values = [self.edge_values(row, rng) for row in cum]
+        rows = np.repeat(np.arange(count), [v.size for v in values])
+        v = np.concatenate(values)
+        order = rng.permutation(v.size)  # rows interleaved in one search
+        got = table.search(v[order], slot[rows[order]])
+        want = np.concatenate([inverse_cdf(row, x) for row, x in zip(cum, values)])
+        assert np.array_equal(got, want[order])
+
+    def test_cdf_table_value_a_rounding_above_total(self):
+        # totals whose scaled value rounds below the last bucket while the
+        # double above them reaches it: the last guide entry would count
+        # every sum, and only leaving the last sum out of the guide keeps
+        # the start inside the row
+        rng = np.random.default_rng(64)
+        hits = 0
+        for size in range(1, 65):
+            buckets = samplers.BUCKETS_PER_ENTRY * size
+            for total in rng.uniform(0.01, 3.0, 50):
+                cum = np.linspace(total / size, total, size)
+                one = samplers.CdfTable(cum)
+                v = np.array([np.nextafter(total, np.inf)])
+                if not total * one.scale[0] < buckets <= v[0] * one.scale[0]:
+                    continue
+                hits += 1
+                rows = samplers.CdfTable.empty(2, size)
+                rows.fill(np.array([1]), cum[None])
+                assert one.search(v) == rows.search(v, np.array([1])) == size - 1
+        assert hits > 100
+
+    @pytest.mark.parametrize("size", [1, 2, 255, 256, 257, 65536, 65537])
+    def test_cdf_table_guide_is_smallest_type(self, size):
+        want = np.min_scalar_type(size - 1)
+        cum = np.arange(1.0, size + 1)
+        assert samplers.CdfTable(cum).guide.dtype == want
+        assert samplers.CdfTable.empty(2, size).guide.dtype == want
 
 
 def fofe_targets(case, n, rng):

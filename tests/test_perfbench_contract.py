@@ -67,3 +67,11 @@ def test_sampler_label_distribution(bench, make):
     probs = np.asarray(run.label_distribution(sampler), dtype=float)
     assert np.array_equal(probs, sampler.distribution())
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cdf_table_is_not_a_sampler(bench):
+    # spans.py wraps every samplers class with a draw method as a sampler:
+    # a draw on the inverse-CDF kernel would count its searches as draws
+    _, spans = bench
+    assert not hasattr(samplers.CdfTable, "draw")
+    assert samplers.CdfTable not in spans.sampler_classes(samplers)

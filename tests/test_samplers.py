@@ -17,7 +17,7 @@ from fidest import samplers, states
 from fidest.errors import CapExceededError, NumericalHealthError
 from fidest.f2 import pauli_coefficients
 
-from reference import mps_draws_per_shot
+from reference import exact_draws, mps_draws_per_shot
 
 
 def exact_law(psi, alpha):
@@ -123,6 +123,16 @@ class TestExactSampler:
         c = pauli_coefficients(psi)
         s = samplers.ExactSampler(c, 0.5)
         assert s.norm_sum == pytest.approx(np.abs(c.values).sum())
+
+    def test_draw_index_equals_binary_search(self):
+        # the n = 10 complete 3-hypergraph support, 133,114 points
+        psi, _ = states.hypergraph_state(10, states.complete_3_hypergraph_edges(10))
+        coeffs = pauli_coefficients(psi)
+        s = samplers.ExactSampler(coeffs, 0.5)
+        assert s.support()[0].size == 133_114
+        got = s.draw_index(np.random.default_rng(23), 200_000)
+        want = exact_draws(coeffs, 0.5, np.random.default_rng(23), 200_000)
+        assert np.array_equal(got, want)
 
 
 class TestUniformXSampler:
@@ -255,12 +265,31 @@ class TestMPSL2Sampler:
         assert s.point_probability(ax, az)[0] > 0
 
     def test_batch_draw_equals_per_draw_loop(self):
-        # three blocks of lockstep draws give the per-draw loop's points
-        mps = states.random_real_mps(4, 4, np.random.default_rng(21))
-        s = samplers.MPSL2Sampler(mps)
-        got = s.draw(np.random.default_rng(22), 300)
-        want = mps_draws_per_shot(s, np.random.default_rng(22), 300)
-        assert np.array_equal(got, want)
+        # blocks of lockstep draws give the per-draw loop's points: three
+        # blocks at n = 4, and 1,000 draws at n = 6, both at chi = 4
+        for n, seed, size in ((4, 21, 300), (6, 24, 1000)):
+            mps = states.random_real_mps(n, 4, np.random.default_rng(seed))
+            s = samplers.MPSL2Sampler(mps)
+            got = s.draw(np.random.default_rng(seed + 1), size)
+            want = mps_draws_per_shot(s, np.random.default_rng(seed + 1), size)
+            assert np.array_equal(got, want)
+
+    def test_draw_at_a_cumulative_conditional(self):
+        # |000>: at each site I and Z carry 1/2 each, X and Y nothing, so
+        # the cumulative conditionals are 1/2, 1, 1, 1; a uniform at a sum
+        # takes the letter above it, as searchsorted(side="right") does
+        class Uniforms:
+            def random(self, shape):
+                u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+                return np.repeat(u, shape[1]).reshape(shape)
+        zero = np.zeros((3, 2, 1, 1))
+        zero[:, 0] = 1.0
+        s = samplers.MPSL2Sampler(states.RealMPS(3, 1, zero, np.ones(1),
+                                                 np.ones(1)))
+        ax, az = s.draw(Uniforms(), 5)
+        assert np.array_equal(ax, [0] * 5)
+        assert np.array_equal(az, [0, 0, 7, 7, 7])  # I I I, then Z Z Z
+        assert np.array_equal((ax, az), mps_draws_per_shot(s, Uniforms(), 5))
 
     def test_drift_warning(self):
         mps = states.random_real_mps(6, 4, np.random.default_rng(18))
