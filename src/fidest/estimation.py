@@ -5,10 +5,11 @@ qubit-wise-commuting measurement groups, plus aggregation helpers.
 
 All three run on one batched shot engine:
 
-1. draw every shot's label at once (for DFE and FOFE a Pauli point, carried
-   as a word pair (ax, az) from the sampler's draw to post-processing; for
-   NLDFE a row of the partition's group record array, ``frame``, ``chat``
-   and ``weight`` per group, built with no Python object per group);
+1. draw every shot's label at once (for DFE and FOFE a position k in the
+   sampler's support, whose quantities are formed once a call over
+   ``support()`` and read at k; for NLDFE a row of the partition's group
+   record array, ``frame``, ``chat`` and ``weight`` per group, built with
+   no Python object per group);
 2. draw every shot's outcome exactly from its label's outcome law, with a
    mixed state's trajectory component marginalised out, at a cost per
    shot that does not grow with the number of distinct labels drawn:
@@ -19,7 +20,11 @@ All three run on one batched shot engine:
      support a_x); a shot is one guided search into the support, two
      gathers and one compare (``_dfe_values``);
    - FOFE: b' from its marginal law, then b1 given b', kept per branch as
-     the pair (b', (-1)^b1) (``_fofe_outcomes``);
+     the pair (b', (-1)^b1) (``_fofe_outcomes``); w(a) and each branch's
+     cross-term factors are formed once a call over the support, so a shot
+     reads them at k and takes the parity (-1)^(az.(b' ^ ax)) as a sign,
+     and on a support with no Z part (every phase-state target) the cross
+     term is read straight off rho[b', b' ^ ax];
    - NLDFE: the frame outcome from its group's Born law, formed once, when
      the group is first drawn, by one WHT of the group's <T_a> (read as
      for DFE), then one guided inverse-CDF search per shot
@@ -106,7 +111,8 @@ def _parity_signs(words: np.ndarray) -> np.ndarray:
 
 def _weights(sampler, ax: np.ndarray, az: np.ndarray, c=None) -> np.ndarray:
     """Importance weight norm_sum |c|^(1 - 2 alpha) sign(c) of each point
-    (c by default ``sampler.coefficients(ax, az)``)."""
+    (c by default ``sampler.coefficients(ax, az)``, as the value laws ask;
+    the shot engine passes its support's own c)."""
     c = sampler.coefficients(ax, az) if c is None else c
     if np.any(np.abs(c) <= COEFF_TOL / 10):
         bad = np.argmin(np.abs(c))
@@ -295,28 +301,45 @@ def _fofe_laws(rho, ax: np.ndarray, az: np.ndarray, n: int, branch: str,
     return np.concatenate([both + cross, both - cross], axis=1) / 4.0
 
 
-def _fofe_outcomes(rho, diag: np.ndarray):
-    """outcomes(ax, az, branch, u): one outcome (b', (-1)^b1) of the branch
-    per shot from three uniforms, exactly by the law of ``_fofe_laws``:
-    b' = y ~ d or y ^ ax with equal odds, then b1 by P(b1 = 0 | b') =
-    1/2 + cross / (2 (d(b') + d(b' ^ ax))), with ``_fofe_cross`` in real
-    arithmetic: cross / 2 = Re(i^m conj(e)) = Re i^m Re e + Re i^(m-1) Im e
-    (one term exactly 0) for e = rho[b', b' ^ ax] and i^m = i^|ax & az|
-    (-1)^(az.(b' ^ ax)) on the real branch, i^(m-1) on the imaginary one."""
+def _fofe_outcomes(rho, diag: np.ndarray, ax: np.ndarray, az: np.ndarray):
+    """outcomes(k, branch, u): one outcome (b', (-1)^b1) of the branch per
+    shot at the point (ax[k], az[k]) from three uniforms, exactly by the
+    law of ``_fofe_laws``: b' = y ~ d or y ^ ax with equal odds, then b1 by
+    P(b1 = 0 | b') = 1/2 + cross / (2 (d(b') + d(b' ^ ax))), with
+    ``_fofe_cross`` in real arithmetic: cross / 2 = Re(i^m conj(e)) =
+    Re i^m Re e + Re i^(m-1) Im e (one term exactly 0) for
+    e = rho[b', b' ^ ax] and m = |ax & az| + 2 |az & (b' ^ ax)| on the real
+    branch, m - 1 on the imaginary one.  The factors Re i^m at the parity
+    0 are formed once over the points, and the parity
+    (-1)^(az.(b' ^ ax)) is a sign per shot.  With no Z part (az = 0, as
+    on every phase-state target) every factor is constant, so cross / 2
+    is Re e on the real branch and -Im e on the imaginary one."""
     d = np.clip(diag, 0.0, None)
     computational = CdfTable(np.cumsum(d))
     total = computational.total[0]
+    z_free = not az.any()
+    if not z_free:
+        m0 = popcount_array(ax & az)
+        factors = {branch: (_REAL_POWERS_OF_I[(m0 + c) & 3],
+                            _REAL_POWERS_OF_I[(m0 + c + 3) & 3])
+                   for branch, c in (("real", 0), ("imag", 3))}
 
-    def outcomes(ax, az, branch: str, u: np.ndarray):
+    def outcomes(k: np.ndarray, branch: str, u: np.ndarray):
+        a = ax[k]
         y = computational.search(u[0] * total)
-        b = y ^ (ax & -(u[1] >= 0.5).astype(ax.dtype))  # y ^ ax half the time
-        flip = b ^ ax
-        m = (popcount_array(ax & az) + 2 * popcount_array(az & flip)
-             + (3 if branch == "imag" else 0))
+        b = y ^ (a & -(u[1] >= 0.5).astype(a.dtype))  # y ^ ax half the time
+        flip = b ^ a
         e = rho.entries(b, flip)
-        half = _REAL_POWERS_OF_I[m & 3] * e.real
-        if np.iscomplexobj(e):
-            half += _REAL_POWERS_OF_I[(m + 3) & 3] * e.imag
+        if not z_free:
+            re, im = factors[branch]
+            half = re[k] * e.real
+            if np.iscomplexobj(e):
+                half += im[k] * e.imag
+            half *= _parity_signs(az[k] & flip)
+        elif branch == "real":
+            half = e.real
+        else:
+            half = -e.imag if np.iscomplexobj(e) else 0.0
         p0 = 0.5 + half / (d[b] + d[flip])  # d(b') + d(b' ^ ax) >= d(y) > 0
         return b, 1.0 - 2.0 * (u[2] >= p0)
     return outcomes
@@ -337,18 +360,22 @@ def _fofe_values(rho, sampler, phases, shots: int, rng: np.random.Generator):
     """Shot values of every phase function from one shared outcome stream:
     an array (len(phases), shots), and the circuit executions used.  A value
     is w (-1)^b1 cos phi^(a)(b') [+ the same with sin on the imaginary
-    branch's own outcome], read from cos phi and sin phi formed once a call."""
-    outcomes = _fofe_outcomes(rho, _computational_law(rho))
+    branch's own outcome], read from cos phi and sin phi formed once a call.
+    Each shot draws a support position k; w and the outcome factors are
+    formed once a call over the sampler's support and read at k."""
+    ax, az, c = sampler.support()
+    w = _weights(sampler, ax, az, c)
+    outcomes = _fofe_outcomes(rho, _computational_law(rho), ax, az)
     tables = [(np.cos(phi.table()), np.sin(phi.table())) for phi in phases]
     real = [phi.is_real() for phi in phases]
     branches = ("real",) if all(real) else ("real", "imag")
 
     def block(count: int) -> np.ndarray:
-        ax, az = sampler.draw(rng, count)
-        drawn = [outcomes(ax, az, branch, rng.random((3, count)))
+        k = sampler.draw_index(rng, count)
+        drawn = [outcomes(k, branch, rng.random((3, count)))
                  for branch in branches]
-        w = _weights(sampler, ax, az)
-        signed = [(b, b ^ ax, w * sign) for b, sign in drawn]
+        a, wk = ax[k], w[k]
+        signed = [(b, b ^ a, wk * sign) for b, sign in drawn]
         values = np.empty((len(tables), count))
         for row, (cos, sin), real_phase in zip(values, tables, real):
             b, flip, ws = signed[0]
@@ -401,7 +428,8 @@ def fofe_multi_target(rho, sampler, phases, shots: int,
                       stripped: StateVector = None) -> MultiTargetResult:
     """Estimate M fidelities of targets D(phi_m)|stripped> from one shared
     outcome stream: each circuit execution is post-processed once per
-    phase function, so executions scale with shots, not M * shots."""
+    phase function, so executions scale with shots, not M * shots.  The
+    sampler draws support positions (``ExactSampler``, ``UniformXSampler``)."""
     phases = list(phases)
     n = sampler.n
     for phi in phases:

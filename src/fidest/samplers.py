@@ -11,11 +11,13 @@ Every sampler has one protocol:
   distribution()  -- the law as a dense 4^n vector over (ax << n) | az
                      (Dicke: n <= 12, MPS: n <= 6)
 The samplers that know c(a) (Exact, UniformX, Dicke) also give
-coefficients(ax, az), the c(a) of each word pair; ExactSampler also gives
-support(), the (ax, az, c) of its support, and draw_index(rng, size),
-positions into it.  Every draw is one batch: the MPS sampler counts, site
-by site, the cumulative conditionals at or below each draw's uniform, and
-every other sampler searches a CdfTable.  A CdfTable holds +inf for the
+coefficients(ax, az), the c(a) of each word pair; ExactSampler and
+UniformXSampler also give support(), the (ax, az, c) of their support, and
+draw_index(rng, size), positions into it, with draw the support read at
+draw_index from the same generator state.  Every draw is one batch: the
+MPS sampler counts, site by site, the cumulative conditionals at or below
+each draw's uniform, UniformXSampler asks for uniform integers, and every
+other sampler searches a CdfTable.  A CdfTable holds +inf for the
 last sum of each row, so ``ExactSampler.distribution()`` reads its true
 total from the table's ``total``.
 """
@@ -178,15 +180,28 @@ class ExactSampler:
 
 class UniformXSampler:
     """l_2a sampler for phase states: uniform over the 2^n X-type points,
-    every coefficient exactly +2^-n."""
+    every coefficient exactly +2^-n.  Its support is indexed by ax itself
+    (position k is the point (k, 0)), so ``draw`` is ``support()`` read at
+    ``draw_index``, and a caller can form tables once over the support as
+    for ``ExactSampler``."""
 
     def __init__(self, n: int, alpha: float = 0.5):
         self.n = n
         self.alpha = float(alpha)
         self.norm_sum = float((1 << n) * (2.0 ** (-n)) ** (2.0 * self.alpha))
 
+    def support(self):
+        """(ax, az, c) of the 2^n X-only points, in ``draw_index`` order."""
+        size = 1 << self.n
+        return (np.arange(size, dtype=np.int64), np.zeros(size, dtype=np.int64),
+                np.full(size, 2.0 ** (-self.n)))
+
+    def draw_index(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Positions in the support of `size` uniform draws."""
+        return rng.integers(0, 1 << self.n, size=size)
+
     def draw(self, rng: np.random.Generator, size: int):
-        return rng.integers(0, 1 << self.n, size=size), np.zeros(size, dtype=np.int64)
+        return self.draw_index(rng, size), np.zeros(size, dtype=np.int64)
 
     def coefficients(self, ax: np.ndarray, az: np.ndarray) -> np.ndarray:
         return np.where(az == 0, 2.0 ** (-self.n), 0.0)

@@ -5,7 +5,7 @@ amplitude read by direct contraction, dense <-> packed F2 matrices and
 the dense F2 rank oracle, frame codes
 from Z/X/Y labels, the Pauli claims of a QWC partition, the all-complex
 Pauli expectation kernel, the inverse CDF by binary search, the exact
-sampler's and the per-shot DFE and MPS draws, a mixture's
+sampler's and the per-shot DFE, FOFE and MPS draws, a mixture's
 entries as one sum, and two closed forms the Haar and Dirichlet tests compare
 against."""
 
@@ -14,8 +14,11 @@ import math
 import numpy as np
 
 from fidest.errors import NumericalHealthError
-from fidest.estimation import QWC_TOL, _in_blocks, _weights
-from fidest.f2 import CHUNK_BYTES, COEFF_TOL, fwht, pauli_phase, xor_diagonals
+from fidest.estimation import (QWC_TOL, _computational_law, _in_blocks,
+                               _weights)
+from fidest.f2 import (_REAL_POWERS_OF_I, CHUNK_BYTES, COEFF_TOL, fwht,
+                       pauli_phase, popcount_array, xor_diagonals)
+from fidest.samplers import CdfTable
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
 
@@ -159,6 +162,53 @@ def dfe_values_per_shot(sampler, shots: int, rng, expectations) -> np.ndarray:
         u = rng.random(count)
         w = _weights(sampler, ax, az)
         return np.where(u >= (1.0 + expectations(ax, az)) / 2.0, -w, w)
+    return _in_blocks(shots, block)
+
+
+def fofe_values_per_shot(rho, sampler, phases, shots: int, rng) -> np.ndarray:
+    """FOFE shot values formed shot by shot: each block draws its points as
+    word pairs, then each branch's outcome uniforms, and forms w(a) and the
+    cross-term exponent m = |ax & az| + 2 |az & (b' ^ ax)| (+3 on the
+    imaginary branch) for every shot, the Hadamard-test cross term being
+    cross / 2 = Re i^m Re e + Re i^(m-1) Im e for e = rho[b', b' ^ ax].
+    The oracle that ``estimation._fofe_values``, with its per-call support
+    tables, must equal bit for bit."""
+    d = np.clip(_computational_law(rho), 0.0, None)
+    computational = CdfTable(np.cumsum(d))
+    total = computational.total[0]
+
+    def outcomes(ax, az, branch: str, u: np.ndarray):
+        y = computational.search(u[0] * total)
+        b = y ^ (ax & -(u[1] >= 0.5).astype(ax.dtype))
+        flip = b ^ ax
+        m = (popcount_array(ax & az) + 2 * popcount_array(az & flip)
+             + (3 if branch == "imag" else 0))
+        e = rho.entries(b, flip)
+        half = _REAL_POWERS_OF_I[m & 3] * e.real
+        if np.iscomplexobj(e):
+            half += _REAL_POWERS_OF_I[(m + 3) & 3] * e.imag
+        p0 = 0.5 + half / (d[b] + d[flip])
+        return b, 1.0 - 2.0 * (u[2] >= p0)
+
+    tables = [(np.cos(phi.table()), np.sin(phi.table())) for phi in phases]
+    real = [phi.is_real() for phi in phases]
+    branches = ("real",) if all(real) else ("real", "imag")
+
+    def block(count: int) -> np.ndarray:
+        ax, az = sampler.draw(rng, count)
+        drawn = [outcomes(ax, az, branch, rng.random((3, count)))
+                 for branch in branches]
+        w = _weights(sampler, ax, az)
+        values = np.empty((len(tables), count))
+        for row, (cos, sin), real_phase in zip(values, tables, real):
+            b, sign = drawn[0]
+            flip = b ^ ax
+            row[:] = w * sign * (cos[flip] * cos[b] + sin[flip] * sin[b])
+            if not real_phase:
+                b, sign = drawn[1]
+                flip = b ^ ax
+                row += w * sign * (sin[flip] * cos[b] - cos[flip] * sin[b])
+        return values
     return _in_blocks(shots, block)
 
 

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from fidest import cli, estimation, samplers, states
 from fidest.errors import ConfigError
 from fidest.f2 import COEFF_TOL, fwht, pauli_coefficients
-from reference import (dfe_values_per_shot, inverse_cdf, label_codes,
-                       partition_claims, spectral_mixture)
+from reference import (dfe_values_per_shot, fofe_values_per_shot,
+                       inverse_cdf, label_codes, partition_claims,
+                       spectral_mixture)
 
 
 def random_pure_pair(n, rng):
@@ -533,8 +534,8 @@ class TestOutcomeSamplers:
             diag = estimation._computational_law(rho)
             laws = np.clip(estimation._fofe_laws(rho, ax, az, n, branch, diag), 0, None)
             rows = rng.integers(0, ax.size, 120_000)
-            b, sign = estimation._fofe_outcomes(rho, diag)(
-                ax[rows], az[rows], branch, rng.random((3, rows.size)))
+            b, sign = estimation._fofe_outcomes(rho, diag, ax, az)(
+                rows, branch, rng.random((3, rows.size)))
             assert_frequencies(((sign < 0) << n) | b, rows, laws)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 5])
@@ -825,6 +826,64 @@ class TestDFETables:
         got = estimation._dfe_values(sampler, 4, rng,
                                      estimation._expectations(one, zero, coeffs))
         assert np.array_equal(got, np.full(4, -1.0))
+
+
+def fofe_table_targets(case, rng):
+    """(target, sampler, phases) for one per-call-table case: the complete
+    3-hypergraph (a real phase) and a random-phase state (complex, two
+    branches) on the uniform-X sampler, whose support has no Z part; Haar
+    and Dicke targets on their stripped coefficients, whose supports do;
+    and a random-phase target estimated together with a real phase."""
+    n = 4
+    if case == "hypergraph":
+        target, phi = states.hypergraph_state(
+            n, states.complete_3_hypergraph_edges(n))
+        return target, samplers.UniformXSampler(n, 0.5), [phi]
+    if case in ("phase-random", "multi-target"):
+        phi = states.PhaseFunction.from_table(
+            n, rng.uniform(0.0, 2.0 * np.pi, 1 << n))
+        phases = [phi]
+        if case == "multi-target":
+            phases.append(states.PhaseFunction.from_table(
+                n, np.pi * rng.integers(0, 2, 1 << n)))
+        return states.phase_state(phi), samplers.UniformXSampler(n, 0.5), phases
+    target = (states.haar_random(n, rng) if case == "haar"
+              else states.dicke_state(n, 2))
+    stripped, phi = states.phase_strip(target)
+    return target, samplers.ExactSampler(pauli_coefficients(stripped), 0.5), [phi]
+
+
+class TestFOFETables:
+    """``_fofe_values`` draws support positions and forms w(a) and the
+    cross-term factors once a call, and gives the per-shot draw's values
+    bit for bit, leaving the generator where the per-shot draw does."""
+
+    @pytest.mark.parametrize("shots", [3, 2 * estimation.BLOCK_SHOTS + 5])
+    @pytest.mark.parametrize("case", ["hypergraph", "phase-random", "haar",
+                                      "dicke", "multi-target"])
+    def test_equals_the_per_shot_draw(self, case, shots):
+        rng = np.random.default_rng(93)
+        target, sampler, phases = fofe_table_targets(case, rng)
+        z_free = not sampler.support()[1].any()
+        assert z_free == (case in ("hypergraph", "phase-random", "multi-target"))
+        for rho in state_kinds(target, rng):
+            rngs = np.random.default_rng(94), np.random.default_rng(94)
+            got = estimation._fofe_values(rho, sampler, phases, shots, rngs[0])
+            want = fofe_values_per_shot(rho, sampler, phases, shots, rngs[1])
+            assert got[0].tobytes() == want.tobytes()
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_multi_target_reports_the_per_shot_values(self):
+        rng = np.random.default_rng(95)
+        target, sampler, phases = fofe_table_targets("multi-target", rng)
+        rho = states.depolarize(target, 0.2)
+        res = estimation.fofe_multi_target(rho, sampler, phases, 1000,
+                                           np.random.default_rng(96))
+        want = fofe_values_per_shot(rho, sampler, phases, 1000,
+                                    np.random.default_rng(96))
+        assert [phi.is_real() for phi in phases] == [False, True]
+        for report, row in zip(res.reports, want):
+            assert report.values.tobytes() == row.tobytes()
 
 
 def sequential_partition(coeffs, frames, tol=1e-12):

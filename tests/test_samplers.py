@@ -146,6 +146,23 @@ class TestUniformXSampler:
         stripped, _ = states.phase_strip(psi)
         assert tv(s.distribution(), exact_law(stripped, 0.5)) < 1e-12
 
+    def test_draw_reads_the_support_at_draw_index(self):
+        # the position protocol of ExactSampler: draw is support() read at
+        # draw_index from the same generator state, and support() with its
+        # coefficients reproduces distribution()
+        s = samplers.UniformXSampler(4, alpha=0.5)
+        ax, az, c = s.support()
+        k = s.draw_index(np.random.default_rng(24), 5000)
+        # one uniform integer per draw, as a single generator call
+        assert np.array_equal(
+            k, np.random.default_rng(24).integers(0, 1 << s.n, size=5000))
+        got = s.draw(np.random.default_rng(24), 5000)
+        assert np.array_equal(got[0], ax[k]) and np.array_equal(got[1], az[k])
+        assert np.array_equal(c, s.coefficients(ax, az))
+        law = np.zeros(4**s.n)
+        law[(ax << s.n) | az] = np.abs(c) ** (2 * s.alpha) / s.norm_sum
+        assert np.array_equal(law, s.distribution())
+
     def test_coefficient(self):
         s = samplers.UniformXSampler(2)
         got = s.coefficients(np.array([0b11, 0b11]), np.array([0, 0b01]))

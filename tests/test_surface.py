@@ -25,9 +25,11 @@ INTERFACES = {
     "states": ({"n", "entries", "born_laws", "fidelity", "pure_ensemble"},
                "the state interface of the states docstring; no module "
                "branches on the state type"),
-    "samplers": ({"draw", "distribution", "coefficients"},
+    "samplers": ({"draw", "distribution", "coefficients", "support",
+                  "draw_index"},
                  "the batch sampler protocol of the samplers docstring; "
-                 "coefficients on the samplers that know c(a)"),
+                 "coefficients on the samplers that know c(a), support and "
+                 "draw_index on the exact and uniform-X samplers"),
 }
 
 #: module.name -> why it stays with no src caller
