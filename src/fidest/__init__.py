@@ -8,7 +8,7 @@ Modules:
                  stripping, depolarizing noise, Born laws
   magic       -- l-norms, stabilizer Renyi entropies, hypergraph rank
                  brackets on the 1/2-DFE second moment, Haar closed forms,
-                 the Dirichlet stripped-l1 estimator
+                 the stripped-l1 quadrature
   samplers    -- l_2a phase-point samplers (exact, phase-state, Dicke,
                  Bell-circuit, MPS)
   estimation  -- alpha-DFE, fan-out FE, nonlinear DFE, aggregation

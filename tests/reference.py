@@ -6,8 +6,9 @@ the dense F2 rank oracle, frame codes
 from Z/X/Y labels, the Pauli claims of a QWC partition, the all-complex
 Pauli expectation kernel, the inverse CDF by binary search, the exact
 sampler's and the per-shot DFE, FOFE and MPS draws, a mixture's
-entries as one sum, and two closed forms the Haar and Dirichlet tests compare
-against."""
+entries as one sum, two closed forms the Haar and Dirichlet tests compare
+against, and the Dirichlet Monte Carlo and a scipy quadrature of the Haar
+stripped l1."""
 
 import math
 
@@ -18,6 +19,7 @@ from fidest.estimation import (QWC_TOL, _computational_law, _in_blocks,
                                _weights)
 from fidest.f2 import (_REAL_POWERS_OF_I, CHUNK_BYTES, COEFF_TOL, fwht,
                        pauli_phase, popcount_array, xor_diagonals)
+from fidest.magic import stripped_l1_base_terms
 from fidest.samplers import CdfTable
 from fidest.states import Mixture, PhaseFunction, RealMPS, StateVector
 
@@ -271,3 +273,53 @@ def dirichlet_sqrt_pair_moment(n: int) -> float:
     d = 2.0**n
     return math.exp(math.lgamma(d) + 2.0 * math.lgamma(1.5)
                     - math.lgamma(d + 1.0))
+
+
+
+def haar_stripped_l1_estimate(n: int, samples: int, rng: np.random.Generator):
+    """Monte Carlo estimate (mean, stderr) of the Haar-average l1-norm of
+    the phase-stripped state, via Dirichlet(1,...,1) probability vectors:
+    the oracle ``magic.haar_stripped_l1_mean`` must agree with.
+
+    Each draw evaluates base + (d-1)(d-2)/d * |S|, d = 2^n, where S sums
+    sqrt(p0 p1) - sqrt(p2 p3) over consecutive quadruples of the sampled
+    probability vector.
+    """
+    d = 1 << n
+    base = stripped_l1_base_terms(n)
+    pref = (d - 1.0) * (d - 2.0) / d
+    per_batch = max(1, (1 << 22) // d)  # 32 MB of draws at a time
+    vals = np.empty(samples, dtype=float)
+    for lo in range(0, samples, per_batch):
+        b = min(per_batch, samples - lo)
+        e = rng.standard_exponential((b, d))
+        p = e / e.sum(axis=1, keepdims=True)
+        q = np.sqrt(p).reshape(b, d // 4, 4)
+        s = (q[:, :, 0] * q[:, :, 1] - q[:, :, 2] * q[:, :, 3]).sum(axis=1)
+        vals[lo:lo + b] = base + pref * np.abs(s)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+
+
+def haar_stripped_l1_scipy(n: int) -> float:
+    """The Haar stripped l1 by the same characteristic-function integral as
+    ``magic.haar_stripped_l1_mean``, built independently of it: scipy's
+    Dawson function, numpy's eigenvalue Gauss-Legendre rules on wider
+    ranges (v = sqrt(e0) on [0, 8], tau = t sqrt(m) on [0, 16]) and 4x
+    the nodes."""
+    from numpy.polynomial.legendre import leggauss
+    from scipy.special import dawsn
+
+    d = 2.0**n
+    m = d / 4.0
+    x, w = leggauss(256)
+    v = 4.0 * (x + 1.0)
+    wv = 4.0 * w * 2.0 * v * np.exp(-v * v)  # E_e0 over v = sqrt(e0)
+    x, w = leggauss(512)
+    tau, wtau = 8.0 * (x + 1.0), 8.0 * w
+    s = np.outer(tau / math.sqrt(m), v)
+    re_gap = (s * dawsn(s / 2)) @ wv
+    im = (s * np.exp(-s * s / 4)) @ wv * math.sqrt(math.pi) / 2
+    gap = re_gap * (2.0 - re_gap) - im * im
+    inner = np.sum(wtau * -np.expm1(m * np.log1p(-gap)) / tau**2) + 1.0 / 16.0
+    mean_abs_x = 2.0 / math.pi * math.sqrt(m) * inner
+    return stripped_l1_base_terms(n) + (d - 1.0) * (d - 2.0) / d * mean_abs_x / d

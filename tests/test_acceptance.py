@@ -71,15 +71,12 @@ def test_criterion_2_haar_scaling():
     A = float(xs @ ys / (xs @ xs))
     fit_ok = abs(A - 0.798) <= 0.05
 
-    # Dirichlet estimator of the stripped-l1 / l1 ratio for n = 8..16.
-    # The 0.437 figure is the large-n limit; small n sit above it (0.50 at
-    # n = 8), so the band is asserted on the aggregate mean over the scan
-    # and on the largest n, together with the decreasing trend.
-    ratios = []
-    drng = np.random.default_rng(12345)
-    for n in range(8, 17):
-        est, _ = magic.haar_stripped_l1_estimate(n, 10000, drng)
-        ratios.append(est / magic.haar_l1_mean_closed_form(n))
+    # Exact stripped-l1 / l1 ratio (quadrature over closed form) for
+    # n = 8..16.  The 0.437 figure is the large-n limit; small n sit above
+    # it (0.50 at n = 8), so the band is asserted on the aggregate mean over
+    # the scan and on the largest n, together with the decreasing trend.
+    ratios = [magic.haar_stripped_l1_mean(n) / magic.haar_l1_mean_closed_form(n)
+              for n in range(8, 17)]
     mean_ratio = float(np.mean(ratios))
     ratio_ok = (abs(mean_ratio - 0.437) <= 0.05
                 and abs(ratios[-1] - 0.437) <= 0.05

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
@@ -562,6 +563,35 @@ class TestSubcommands:
         _, header, rows = parse_csv(out)
         d = dict(zip(header, rows[0]))
         assert d["l1_stderr"] == d["stripped_stderr"] == "0.0"
+
+    def test_haar_scan_to_cap(self, capsys):
+        # every row past n = 8 is closed form over quadrature: the ratio
+        # falls strictly to its limit sqrt((1 - pi^2/16) / 2)
+        code, out, _ = run_cli(capsys, "haar-scan", "--nmin", "9", "--nmax",
+                               "64", "--samples", "1", "--deterministic")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        table = [dict(zip(header, row)) for row in rows]
+        assert [int(d["n"]) for d in table] == list(range(9, 65))
+        assert {d["method"] for d in table} == {"closed+quadrature"}
+        assert {d["stripped_stderr"] for d in table} == {"0.0"}
+        ratios = [float(d["ratio"]) for d in table]
+        assert all(a > b for a, b in zip(ratios, ratios[1:]))
+        assert abs(ratios[-1] - math.sqrt((1 - math.pi**2 / 16) / 2)) <= 1e-8
+
+    def test_haar_scan_ignores_dirichlet_samples(self, capsys):
+        outs = []
+        for count in ("1", "5000"):
+            code, out, _ = run_cli(capsys, "haar-scan", "--nmin", "5",
+                                   "--nmax", "10", "--samples", "3",
+                                   "--dirichlet-samples", count,
+                                   "--deterministic")
+            assert code == 0
+            outs.append(parse_csv(out)[1:])
+        assert outs[0] == outs[1]
+        assert [row[-1] for row in outs[0][1]] == [
+            "exact", "exact", "quadrature", "quadrature", "closed+quadrature",
+            "closed+quadrature"]
 
     @pytest.mark.parametrize("n", [magic.SAMPLED_RANK_QUBIT_CAP + 1, 64])
     def test_hypergraph_bounds_cap(self, capsys, n):

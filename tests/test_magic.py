@@ -1,5 +1,6 @@
 """Tests for norm reports, variance bounds, hypergraph rank machinery,
-and the Haar / Dirichlet closed forms."""
+the Haar / Dirichlet closed forms, and the stripped-l1 quadrature with its
+Dawson and Gauss-Legendre helpers."""
 
 import math
 from fractions import Fraction
@@ -15,7 +16,8 @@ from fidest.errors import DimensionError
 from fidest.f2 import f2_rank, pauli_coefficients
 from incomplete_beta import incomplete_beta, incomplete_beta_log
 from reference import (dirichlet_sqrt_pair_moment, f2_pack, f2_unpack,
-                       haar_l1_asymptote)
+                       haar_l1_asymptote, haar_stripped_l1_estimate,
+                       haar_stripped_l1_scipy)
 
 
 class TestNorms:
@@ -307,8 +309,8 @@ class TestStrippedL1:
             emp, rel=0.02)
 
     def test_estimator_matches_direct_stripping(self):
-        # Estimator (class-count formula) vs. brute-force stripped l1 of
-        # Haar states at n = 4.
+        # The quadrature (class-count formula) vs. brute-force stripped l1
+        # of Haar states at n = 4.
         rng = np.random.default_rng(8)
         n, m = 4, 300
         direct = []
@@ -317,6 +319,47 @@ class TestStrippedL1:
             direct.append(np.abs(pauli_coefficients(stripped).values).sum())
         mean_d = np.mean(direct)
         se_d = np.std(direct, ddof=1) / np.sqrt(m)
-        est, se_e = magic.haar_stripped_l1_estimate(
-            n, 20000, np.random.default_rng(9))
-        assert abs(est - mean_d) < 4 * math.hypot(se_d, se_e)
+        assert abs(magic.haar_stripped_l1_mean(n) - mean_d) < 4 * se_d
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_quadrature_matches_dirichlet_monte_carlo(self, n):
+        est, se = haar_stripped_l1_estimate(n, 2000, np.random.default_rng(40 + n))
+        assert abs(magic.haar_stripped_l1_mean(n) - est) < 4 * se
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_quadrature_matches_scipy_reference(self, n):
+        assert magic.haar_stripped_l1_mean(n) == pytest.approx(
+            haar_stripped_l1_scipy(n), rel=1e-10, abs=0)
+
+    def test_small_n_refused(self):
+        with pytest.raises(ValueError):
+            magic.haar_stripped_l1_mean(1)
+
+
+class TestQuadratureHelpers:
+    def test_dawson_matches_scipy(self):
+        from scipy.special import dawsn
+
+        # dense below the series/Rybicki switch at 0.2 and across it
+        x = np.concatenate([np.geomspace(1e-12, 40.0, 20001),
+                            np.linspace(0.19, 0.21, 2001)])
+        for sign in (1.0, -1.0):
+            got, want = magic.dawson(sign * x), dawsn(sign * x)
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+    def test_dawson_at_zero(self):
+        assert magic.dawson(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("nodes, panels", [(1, 1), (2, 3), (5, 1), (16, 1),
+                                               (16, 6), (64, 1), (128, 1)])
+    def test_gauss_legendre_exact_on_polynomials(self, nodes, panels):
+        # N points per panel on [0, 2] integrate x^k exactly for k <= 2N - 1
+        x, w = magic._gauss_legendre(nodes, panels, 0.0, 2.0)
+        assert x.shape == w.shape == (nodes * panels,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        for k in range(0, 2 * nodes, max(1, nodes // 8)):
+            assert float(w @ x**k) == pytest.approx(2.0 ** (k + 1) / (k + 1), rel=1e-13)
+
+    def test_rules_read_only(self):
+        for a in magic._stripped_rules():
+            assert not a.flags.writeable
